@@ -20,9 +20,8 @@ from .enumeration import (
     verify_theorems,
 )
 from .inverse_semigroups import tighten_homomorphism
-from .lattices import ValidationError
+from .lattices import InvariantError, ValidationError
 from .representations import (
-    NotCoverToJoinError,
     Representation,
     TightnessReport,
     restrict_to_generated_ideal,
@@ -254,13 +253,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except NotCoverToJoinError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (CliInputError, ParseError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except AssertionError as err:
+    except InvariantError as err:
         print(f"internal invariant breach: {err}", file=sys.stderr)
         return 2
 

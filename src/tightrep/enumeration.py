@@ -18,13 +18,15 @@ from .lattices import (
     FiniteGenBoolAlg,
     FiniteMeetSemilattice,
     ValidationError,
+    _associativity_violation,
     is_ideal,
 )
 from .representations import (
     Representation,
     TightnessReport,
     _graded_subsets,
-    antichains,
+    _instance_choices,
+    _tight_instances,
     constrained_interval,
     covers_of,
     is_cover_to_join,
@@ -89,19 +91,9 @@ def _meet_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         v = table[min(a, b)][max(a, b)]
         return None if v is unset else v
 
-    def associative():
-        rng = range(n)
-        for a in rng:
-            for b in rng:
-                ab = table[a][b]
-                for c in rng:
-                    if table[ab][c] != table[a][table[b][c]]:
-                        return False
-        return True
-
     def backtrack(k):
         if k == len(pairs):
-            if associative():
+            if _associativity_violation(table) is None:
                 yield tuple(tuple(row) for row in table)
             return
         i, j = pairs[k]
@@ -193,11 +185,12 @@ def enumerate_representations(semilattice: FiniteMeetSemilattice,
 
 
 def _universe(spec: UniverseSpec):
+    """Each semilattice of the universe with its codomains, one per atom count."""
     algebras = {k: powerset_algebra(k) for k in spec.atom_counts}
+    codomains = [algebras[k] for k in spec.atom_counts]
     for n in range(1, spec.max_semilattice_size + 1):
         for E in enumerate_semilattices(n, spec.up_to_iso):
-            for k in spec.atom_counts:
-                yield E, k, algebras[k]
+            yield E, codomains
 
 
 def search_gap(spec: UniverseSpec) -> Iterator[GapExample]:
@@ -208,19 +201,20 @@ def search_gap(spec: UniverseSpec) -> Iterator[GapExample]:
     tightness against any nontrivial view for no reason beyond collapsing
     everything, so they would bury the structurally interesting examples.
     """
-    for E, _, B in _universe(spec):
-        for rep in enumerate_representations(E, B):
-            if rep.is_zero_range():
-                continue
-            ctj = is_cover_to_join(rep)
-            if not ctj.ok:
-                continue
-            tight = is_tight(rep)
-            if tight.ok:
-                continue
-            report = TightnessReport(cover_to_join=ctj, tight=tight,
-                                     nondegenerate=is_nondegenerate(rep))
-            yield GapExample(E, B, rep, report)
+    for E, codomains in _universe(spec):
+        for B in codomains:
+            for rep in enumerate_representations(E, B):
+                if rep.is_zero_range():
+                    continue
+                ctj = is_cover_to_join(rep)
+                if not ctj.ok:
+                    continue
+                tight = is_tight(rep)
+                if tight.ok:
+                    continue
+                report = TightnessReport(cover_to_join=ctj, tight=tight,
+                                         nondegenerate=is_nondegenerate(rep))
+                yield GapExample(E, B, rep, report)
 
 
 @dataclass
@@ -262,6 +256,7 @@ def _check_representation(rep, summary):
         record(tight.ok == ctj.ok,
                "non-degenerate but tight and cover-to-join disagree")
 
+    aboves, disjoints = _instance_choices(E)
     if ctj.ok:
         t = tighten(rep)
         record(is_ideal(B.base, t.codomain.members).ok,
@@ -277,24 +272,16 @@ def _check_representation(rep, summary):
             for zs in covers_of(E, E.elements)),
             "tightening unit depends on the cover choice")
         # every instance with a nonempty above-set already holds
-        for x in E.elements:
-            for ys in antichains(E):
-                family = constrained_interval(E, (x,), ys)
-                rhs = B.meet_all(
-                    [rep.image(x)] + [B.complement(rep.image(y)) for y in ys])
-                for zs in covers_of(E, family):
-                    record(B.join_all(rep.image(z) for z in zs) == rhs,
-                           f"cover-to-join but instance above {x} fails")
+        for above, _, family, rhs in _tight_instances(
+                rep, B, aboves[1:], disjoints):
+            for zs in covers_of(E, family):
+                record(B.join_all(rep.image(z) for z in zs) == rhs,
+                       f"cover-to-join but instance above {above[0]} fails")
 
     # the prescribed value always dominates the members and their joins
-    for above in [()] + [(x,) for x in E.elements]:
-        for ys in antichains(E):
-            family = constrained_interval(E, above, ys)
-            rhs = B.meet_all(
-                [rep.image(x) for x in above]
-                + [B.complement(rep.image(y)) for y in ys])
-            record(all(B.leq(rep.image(z), rhs) for z in family),
-                   "member image escapes the prescribed value")
+    for _, _, family, rhs in _tight_instances(rep, B, aboves, disjoints):
+        record(all(B.leq(rep.image(z), rhs) for z in family),
+               "member image escapes the prescribed value")
 
 
 def _check_semilattice(E, summary):
@@ -324,14 +311,12 @@ def verify_theorems(spec: UniverseSpec) -> VerificationSummary:
     the cover choice.  Violations are collected, never raised.
     """
     summary = VerificationSummary()
-    algebras = {k: powerset_algebra(k) for k in spec.atom_counts}
-    for n in range(1, spec.max_semilattice_size + 1):
-        for E in enumerate_semilattices(n, spec.up_to_iso):
-            summary.semilattices += 1
-            _check_semilattice(E, summary)
-            for k in spec.atom_counts:
-                for rep in enumerate_representations(E, algebras[k]):
-                    summary.representations += 1
-                    _check_representation(rep, summary)
+    for E, codomains in _universe(spec):
+        summary.semilattices += 1
+        _check_semilattice(E, summary)
+        for B in codomains:
+            for rep in enumerate_representations(E, B):
+                summary.representations += 1
+                _check_representation(rep, summary)
     summary.algebras = len(spec.atom_counts)
     return summary

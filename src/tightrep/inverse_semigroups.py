@@ -19,21 +19,20 @@ from typing import Mapping, Sequence
 from .lattices import (
     FiniteGenBoolAlg,
     FiniteMeetSemilattice,
+    InvariantError,
     ValidationError,
-    _read_table,
-    _unique_elements,
-    principal_ideal,
+    _TableStructure,
+    _associativity_violation,
 )
 from .representations import (
-    NotCoverToJoinError,
     Representation,
     TightnessReport,
-    is_cover_to_join,
+    tighten,
     tightness_report,
 )
 
 
-class FiniteInverseSemigroup:
+class FiniteInverseSemigroup(_TableStructure):
     """A finite inverse semigroup with zero, given by its multiplication table.
 
     Validation checks associativity, that every element has exactly one
@@ -44,12 +43,7 @@ class FiniteInverseSemigroup:
 
     def __init__(self, elements: Sequence[str], zero: str,
                  mul: Sequence[Sequence[str]]):
-        self.elements = _unique_elements(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if zero not in self._index:
-            raise ValidationError(f"zero '{zero}' is not a listed element")
-        self.zero = zero
-        self._mul = _read_table(self.elements, self._index, mul, "mul")
+        (self._mul,) = self._read(elements, zero, mul=mul)
         self._inv = self._check_axioms()
         self._gbis = None   # cached outcome of the Boolean-idempotents check
 
@@ -58,13 +52,10 @@ class FiniteInverseSemigroup:
         n = len(els)
         z = self._index[self.zero]
         rng = range(n)
-        for a in rng:
-            for b in rng:
-                ab = m[a][b]
-                for c in rng:
-                    if m[ab][c] != m[a][m[b][c]]:
-                        raise ValidationError(
-                            f"mul not associative at ({els[a]}, {els[b]}, {els[c]})")
+        bad = _associativity_violation(m)
+        if bad:
+            raise ValidationError(
+                f"mul not associative at ({', '.join(els[i] for i in bad)})")
         inv = []
         for s in rng:
             found = [t for t in rng
@@ -85,15 +76,6 @@ class FiniteInverseSemigroup:
             if m[z][a] != z or m[a][z] != z:
                 raise ValidationError(f"zero not absorbing at {els[a]}")
         return tuple(inv)
-
-    def __repr__(self):
-        return f"FiniteInverseSemigroup({list(self.elements)!r}, zero={self.zero!r})"
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, a):
-        return a in self._index
 
     def index(self, a: str) -> int:
         try:
@@ -183,8 +165,8 @@ class ISHomomorphism:
 
     The codomain's idempotent semilattice must carry a generalized
     Boolean algebra (checked at construction).  Preservation of inverses
-    and of idempotents follows from multiplicativity; both are asserted
-    rather than assumed.
+    and of idempotents follows from multiplicativity; both are checked
+    rather than assumed, and a failure raises InvariantError.
     """
 
     def __init__(self, domain: FiniteInverseSemigroup,
@@ -212,11 +194,12 @@ class ISHomomorphism:
                 if mapping[domain.mul(s, t)] != codomain.mul(mapping[s], mapping[t]):
                     raise ValidationError(f"product not preserved at ({s}, {t})")
         for s in domain.elements:
-            assert mapping[domain.inv(s)] == codomain.inv(mapping[s]), \
-                f"multiplicative map failed to preserve the inverse of {s}"
-            if domain.is_idempotent(s):
-                assert codomain.is_idempotent(mapping[s]), \
-                    f"multiplicative map sent idempotent {s} to a non-idempotent"
+            if mapping[domain.inv(s)] != codomain.inv(mapping[s]):
+                raise InvariantError(
+                    f"multiplicative map failed to preserve the inverse of {s}")
+            if domain.is_idempotent(s) and not codomain.is_idempotent(mapping[s]):
+                raise InvariantError(
+                    f"multiplicative map sent idempotent {s} to a non-idempotent")
         self.mapping = dict(mapping)
 
     def __repr__(self):
@@ -236,7 +219,7 @@ class ISHomomorphism:
         try:
             return Representation(E, self.codomain_algebra, restricted)
         except ValidationError as err:   # impossible for a true homomorphism
-            raise AssertionError(
+            raise InvariantError(
                 f"restriction of a homomorphism failed validation: {err}") from err
 
 
@@ -268,34 +251,30 @@ def tighten_homomorphism(hom: ISHomomorphism) -> HomomorphismTightening:
     unit, so it is again a generalized Boolean inverse semigroup (indeed
     a unital one).  The corestricted homomorphism is verified tight.
     """
-    rep = hom.restriction()
-    verdict = is_cover_to_join(rep)
-    if not verdict.ok:
-        raise NotCoverToJoinError(verdict.witness)
-    algebra = hom.codomain_algebra
-    ES = rep.domain
-    unit = algebra.join_all(
-        rep.image(z) for z in ES.elements if z != ES.zero)
-    T = hom.codomain
+    tightening = tighten(hom.restriction())
+    unit, algebra, T = tightening.unit, hom.codomain_algebra, hom.codomain
     keep = [t for t in T.elements
             if algebra.leq(T.mul(T.inv(t), t), unit)
             and algebra.leq(T.mul(t, T.inv(t)), unit)]
     keep_set = set(keep)
     for s in hom.domain.elements:
-        assert hom.image(s) in keep_set, \
-            f"image of {s} escaped the corner below {unit}"
+        if hom.image(s) not in keep_set:
+            raise InvariantError(f"image of {s} escaped the corner below {unit}")
     for a in keep:
         for b in keep:
-            assert T.mul(a, b) in keep_set, \
-                f"corner not closed under products at ({a}, {b})"
-        assert T.inv(a) in keep_set, f"corner not closed under inverses at {a}"
+            if T.mul(a, b) not in keep_set:
+                raise InvariantError(
+                    f"corner not closed under products at ({a}, {b})")
+        if T.inv(a) not in keep_set:
+            raise InvariantError(f"corner not closed under inverses at {a}")
     rows = [[T.mul(a, b) for b in keep] for a in keep]
     corner = FiniteInverseSemigroup(keep, T.zero, rows)
-    expected_idem = set(principal_ideal(algebra, unit).elements)
-    assert set(corner.idempotent_elements) == expected_idem, \
-        "corner idempotents differ from the principal ideal below the unit"
+    if set(corner.idempotent_elements) != set(tightening.codomain.elements):
+        raise InvariantError(
+            "corner idempotents differ from the principal ideal below the unit")
     corestricted = ISHomomorphism(hom.domain, corner, dict(hom.mapping))
     report = check_homomorphism_tightness(corestricted)
-    assert report.tight.ok, "corestriction to the corner is not tight"
+    if not report.tight.ok:
+        raise InvariantError("corestriction to the corner is not tight")
     return HomomorphismTightening(unit=unit, corner=corner,
                                   homomorphism=corestricted, report=report)

@@ -5,6 +5,10 @@ Validation is eager: constructing a structure runs the exhaustive axiom
 check and raises ValidationError on the first violation, so every live
 instance is known-good.  Instances are immutable after construction and
 safe to share; all operations are pure.
+
+An IdealView is the parent algebra's tables restricted to the members of
+an ideal, so it is a FiniteGenBoolAlg itself: its `index` is a position
+in the view's own `elements`, and its top is the join of its members.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ from typing import Iterable, Sequence
 
 class ValidationError(ValueError):
     """An operation table or map violates one of the structure axioms."""
+
+
+class InvariantError(RuntimeError):
+    """A fact that holds for every valid input failed: a bug, not bad input."""
 
 
 def _unique_elements(elements: Sequence[str]) -> tuple[str, ...]:
@@ -46,7 +54,49 @@ def _read_table(elements, index, rows, label):
     return tuple(out)
 
 
-class FiniteMeetSemilattice:
+def _associativity_violation(table):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or None."""
+    rng = range(len(table))
+    for a in rng:
+        row = table[a]
+        for b in rng:
+            ab_row, b_row = table[row[b]], table[b]
+            for c in rng:
+                if ab_row[c] != row[b_row[c]]:
+                    return a, b, c
+    return None
+
+
+class _TableStructure:
+    """Reading and the cold dunders shared by the table-defined structures.
+
+    Each subclass defines its own operations, even where the code is the
+    same: CPython specializes attribute access inside a function per
+    type, and one `meet` shared by semilattices and algebras, which
+    alternate in every scan, runs markedly slower.
+    """
+
+    def _read(self, elements, zero, **tables):
+        """Set elements, their index and zero; return the tables in index form."""
+        self.elements = _unique_elements(elements)
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        if zero not in self._index:
+            raise ValidationError(f"zero '{zero}' is not a listed element")
+        self.zero = zero
+        return [_read_table(self.elements, self._index, rows, label)
+                for label, rows in tables.items()]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.elements)!r}, zero={self.zero!r})"
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __contains__(self, a):
+        return a in self._index
+
+
+class FiniteMeetSemilattice(_TableStructure):
     """A finite semilattice with zero, given by its meet table.
 
     `meet[i][j]` names elements[i] ∧ elements[j].  The constructor checks
@@ -57,12 +107,7 @@ class FiniteMeetSemilattice:
 
     def __init__(self, elements: Sequence[str], zero: str,
                  meet: Sequence[Sequence[str]]):
-        self.elements = _unique_elements(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if zero not in self._index:
-            raise ValidationError(f"zero '{zero}' is not a listed element")
-        self.zero = zero
-        self._meet = _read_table(self.elements, self._index, meet, "meet")
+        (self._meet,) = self._read(elements, zero, meet=meet)
         self._check_axioms()
 
     def _check_axioms(self):
@@ -74,27 +119,16 @@ class FiniteMeetSemilattice:
                 if m[i][j] != m[j][i]:
                     raise ValidationError(
                         f"meet not commutative at ({els[i]}, {els[j]})")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if m[m[i][j]][k] != m[i][m[j][k]]:
-                        raise ValidationError(
-                            f"meet not associative at ({els[i]}, {els[j]}, {els[k]})")
+        bad = _associativity_violation(m)
+        if bad:
+            raise ValidationError(
+                f"meet not associative at ({', '.join(els[i] for i in bad)})")
         for i in range(n):
             if m[i][i] != i:
                 raise ValidationError(f"meet not idempotent at {els[i]}")
         for i in range(n):
             if m[z][i] != z:
                 raise ValidationError(f"zero not absorbing at {els[i]}")
-
-    def __repr__(self):
-        return f"FiniteMeetSemilattice({list(self.elements)!r}, zero={self.zero!r})"
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, a):
-        return a in self._index
 
     def index(self, a: str) -> int:
         try:
@@ -127,7 +161,7 @@ class FiniteMeetSemilattice:
         return tuple(e for e in self.elements if e in picked)
 
 
-class FiniteGenBoolAlg:
+class FiniteGenBoolAlg(_TableStructure):
     """A finite generalized Boolean algebra, given by meet and join tables.
 
     The constructor checks the defining axioms (commutativity of both
@@ -142,13 +176,7 @@ class FiniteGenBoolAlg:
 
     def __init__(self, elements: Sequence[str], zero: str,
                  meet: Sequence[Sequence[str]], join: Sequence[Sequence[str]]):
-        self.elements = _unique_elements(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if zero not in self._index:
-            raise ValidationError(f"zero '{zero}' is not a listed element")
-        self.zero = zero
-        self._meet = _read_table(self.elements, self._index, meet, "meet")
-        self._join = _read_table(self.elements, self._index, join, "join")
+        self._meet, self._join = self._read(elements, zero, meet=meet, join=join)
         self._check_axioms()
         self._complements = self._derive_complements()
         top = 0
@@ -231,15 +259,6 @@ class FiniteGenBoolAlg:
 
     # -- operations ---------------------------------------------------
 
-    def __repr__(self):
-        return f"FiniteGenBoolAlg({list(self.elements)!r}, zero={self.zero!r})"
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, a):
-        return a in self._index
-
     @property
     def base(self) -> "FiniteGenBoolAlg":
         return self
@@ -300,6 +319,13 @@ class FiniteGenBoolAlg:
         rows = [[self.meet(a, b) for b in self.elements] for a in self.elements]
         return FiniteMeetSemilattice(self.elements, self.zero, rows)
 
+    def as_algebra(self) -> "FiniteGenBoolAlg":
+        """A standalone, revalidated algebra over this structure's own elements."""
+        els = self.elements
+        meet = [[self.meet(a, b) for b in els] for a in els]
+        join = [[self.join(a, b) for b in els] for a in els]
+        return FiniteGenBoolAlg(els, self.zero, meet, join)
+
 
 class IdealCheck:
     """Outcome of an ideal test: ok, or a named violation with a witness.
@@ -347,17 +373,21 @@ def is_ideal(algebra, members: Iterable[str]) -> IdealCheck:
     return IdealCheck(True)
 
 
-class IdealView:
+class IdealView(FiniteGenBoolAlg):
     """An ideal of a generalized Boolean algebra, used as a codomain view.
 
-    The view shares the parent's tables; only the member set is new.  Its
-    derived top is the join of the members, so a view is always unital as
-    a view even when it is a proper ideal of the parent.  Construction
-    validates the ideal axioms.
+    The view is the parent's tables restricted to its members.  An ideal
+    is closed under meet, join and relative complement, so the restriction
+    is an algebra without revalidation; construction checks only the
+    ideal axioms.  Its derived top is the join of the members, so a view
+    is always unital as a view even when it is a proper ideal of the
+    parent.  `index` gives positions in the view's own `elements`, and
+    rejects parent elements outside the view.
     """
 
     def __init__(self, parent, members: Iterable[str]):
         base = parent.base
+        members = frozenset(members)
         check = is_ideal(base, members)
         if not check.ok:
             if check.reason == "empty":
@@ -369,74 +399,30 @@ class IdealView:
             raise ValidationError(
                 f"not closed under join: ({a}, {b}) joins outside the set")
         self.parent = base
-        self.members = frozenset(members)
-        self.elements = tuple(e for e in base.elements if e in self.members)
+        keep = [i for i, e in enumerate(base.elements) if e in members]
+        pos = {p: i for i, p in enumerate(keep)}
+        self.elements = tuple(base.elements[p] for p in keep)
+        self._index = {e: i for i, e in enumerate(self.elements)}
         self.zero = base.zero
+        self._meet, self._join = (
+            tuple(tuple(pos[table[a][b]] for b in keep) for a in keep)
+            for table in (base._meet, base._join))
+        self._complements = {
+            (pos[a], pos[b]): pos[x] for (a, b), x in base._complements.items()
+            if a in pos and b in pos}
         self.top = base.join_all(self.elements)
-
-    def __repr__(self):
-        return f"IdealView({list(self.elements)!r} of {self.parent!r})"
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, a):
-        return a in self.members
 
     @property
     def base(self) -> FiniteGenBoolAlg:
         return self.parent
 
-    def _require(self, a):
-        if a not in self.members:
-            self.parent.index(a)    # unknown elements get the sharper error
-            raise ValidationError(f"element '{a}' is outside this ideal view")
-        return a
-
     def index(self, a: str) -> int:
-        self._require(a)
-        return self.parent.index(a)
-
-    def meet(self, a: str, b: str) -> str:
-        return self.parent.meet(self._require(a), self._require(b))
-
-    def join(self, a: str, b: str) -> str:
-        return self.parent.join(self._require(a), self._require(b))
-
-    def leq(self, a: str, b: str) -> bool:
-        return self.parent.leq(self._require(a), self._require(b))
-
-    def relative_complement(self, a: str, b: str) -> str:
-        return self.parent.relative_complement(self._require(a), self._require(b))
-
-    def complement(self, a: str) -> str:
-        """Complement relative to the view's top, not the parent's."""
-        return self.parent.relative_complement(self._require(a), self.top)
-
-    def join_all(self, xs: Iterable[str]) -> str:
-        acc = self.zero
-        for x in xs:
-            acc = self.join(acc, x)
-        return acc
-
-    def meet_all(self, xs: Iterable[str]) -> str:
-        acc = self.top
-        for x in xs:
-            acc = self.meet(acc, x)
-        return acc
-
-    def sort(self, xs: Iterable[str]) -> tuple[str, ...]:
-        picked = set(xs)
-        for x in picked:
-            self._require(x)
-        return tuple(e for e in self.elements if e in picked)
-
-    def as_algebra(self) -> FiniteGenBoolAlg:
-        """The view as a standalone algebra over its own elements."""
-        els = self.elements
-        meet = [[self.meet(a, b) for b in els] for a in els]
-        join = [[self.join(a, b) for b in els] for a in els]
-        return FiniteGenBoolAlg(els, self.zero, meet, join)
+        try:
+            return self._index[a]
+        except KeyError:
+            self.parent.index(a)    # unknown elements get the sharper error
+            raise ValidationError(
+                f"element '{a}' is outside this ideal view") from None
 
 
 def ideal_generated_by(algebra, generators: Iterable[str]) -> IdealView:

@@ -265,31 +265,49 @@ def is_tight(rep: Representation, view=None, *,
                 f"representation range not contained in the view "
                 f"(image of '{x}')")
 
-    if reduced:
-        above_choices = [()] + [(x,) for x in E.elements]
-        disjoint_choices = list(antichains(E))
-    else:
-        above_choices = list(_graded_subsets(E.elements))
-        disjoint_choices = above_choices
-
     seen = set()
+    instances = _tight_instances(rep, view, *_instance_choices(E, reduced))
+    for above, disjoint, family, rhs in instances:
+        if reduced:
+            if (family, rhs) in seen:
+                continue
+            seen.add((family, rhs))
+        for zs in _covers(E, family, minimal_only):
+            lhs = view.join_all(rep.image(z) for z in zs)
+            if lhs != rhs:
+                return Verdict(
+                    False, TightWitness(above, disjoint, zs, lhs, rhs))
+    return Verdict(True)
+
+
+def _instance_choices(semilattice, reduced=True):
+    """The above-sets and disjointness sets the tight scan ranges over.
+
+    Reduced: the empty set and the singletons above, antichains
+    disjoint.  Unreduced: all subsets for both.
+    """
+    E = semilattice
+    if reduced:
+        return [()] + [(x,) for x in E.elements], list(antichains(E))
+    subsets = list(_graded_subsets(E.elements))
+    return subsets, subsets
+
+
+def _tight_instances(rep, view, above_choices, disjoint_choices):
+    """Every tight instance (above, disjoint, constrained set, prescribed
+    value), above-sets outermost, in the order of the given choices.
+
+    The prescribed value is the meet in `view` of the images of `above`
+    and the complements, against the view's top, of the images of
+    `disjoint`.  Instances are not deduplicated.
+    """
+    E = rep.domain
     for above in above_choices:
         for disjoint in disjoint_choices:
             family = constrained_interval(E, above, disjoint)
             terms = [rep.image(x) for x in above]
             terms += [view.complement(rep.image(y)) for y in disjoint]
-            rhs = view.meet_all(terms)
-            if reduced:
-                key = (family, rhs)
-                if key in seen:
-                    continue
-                seen.add(key)
-            for zs in _covers(E, family, minimal_only):
-                lhs = view.join_all(rep.image(z) for z in zs)
-                if lhs != rhs:
-                    return Verdict(
-                        False, TightWitness(above, disjoint, zs, lhs, rhs))
-    return Verdict(True)
+            yield above, disjoint, family, view.meet_all(terms)
 
 
 def is_nondegenerate(rep: Representation) -> Verdict:

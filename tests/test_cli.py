@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tightrep
 from tightrep.cli import main
 from tightrep import parse
 
@@ -251,7 +258,9 @@ def test_check_tightened_view_needs_cover_to_join(capsys, tmp_path):
     assert "not cover-to-join" in err
 
 
-def test_tighten_homomorphism_block(capsys, tmp_path):
+@pytest.fixture
+def hom_path(tmp_path):
+    """A file whose homomorphism phi, the two-chain into I2, is cover-to-join."""
     from tightrep.structfile import Block, StructureFile, render
     from tightrep import ISHomomorphism
     from conftest import make_chain2, make_i2, semigroup_from_semilattice
@@ -266,7 +275,11 @@ def test_tighten_homomorphism_block(capsys, tmp_path):
     ])
     path = tmp_path / "hom.struct"
     path.write_text(render(sf), encoding="utf-8")
+    return path
 
+
+def test_tighten_homomorphism_block(capsys, tmp_path, hom_path):
+    path = hom_path
     code, out, err = run(capsys, "check", str(path), "--rep", "phi")
     assert code == 0
     assert "cover_to_join: pass" in out
@@ -283,6 +296,37 @@ def test_tighten_homomorphism_block(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(out_path), "--rep", "phi_tightened")
     assert code == 0
     assert "tight: pass" in out
+
+
+BREACH_SCRIPT = """\
+import dataclasses, sys
+from tightrep import cli, inverse_semigroups
+from tightrep.representations import Verdict
+
+if not sys.flags.optimize:
+    sys.exit(99)
+real = inverse_semigroups.check_homomorphism_tightness
+
+def not_tight(hom):
+    return dataclasses.replace(real(hom), tight=Verdict(False))
+
+inverse_semigroups.check_homomorphism_tightness = not_tight
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_invariant_breach_exits_2_under_optimize(tmp_path, hom_path):
+    # python -O strips assert statements; the invariant checks must survive
+    src = Path(tightrep.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BREACH_SCRIPT, "tighten", str(hom_path),
+         "--rep", "phi", "--out", str(tmp_path / "corner.struct")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("internal invariant breach: "
+                           "corestriction to the corner is not tight\n")
+    assert not (tmp_path / "corner.struct").exists()
 
 
 def test_enumerate_golden(capsys):
@@ -321,6 +365,31 @@ def test_verify_golden_and_determinism(capsys):
                      "checks: 1222\nviolations: 0\n")
     _, second, _ = run(capsys, "verify", "--max-e", "3", "--atoms", "2")
     assert first == second
+
+
+# sha256 of the full stdout of each run
+WIDER_SEARCH_GAP_DIGESTS = [
+    (("--max-e", "4", "--atoms", "2"), "found: 70",
+     "1e60bbe3540bd14c8219088ba07ab4a5e6687605d512998a08f0926747620c0c"),
+    (("--max-e", "4", "--atoms", "3", "--up-to-iso"), "found: 114",
+     "023c8b073322617e8bdc158b2cf61d3a3ac645c7c595d08c97d0d63ca91dd655"),
+]
+
+
+@pytest.mark.parametrize("flags, last_line, digest", WIDER_SEARCH_GAP_DIGESTS)
+def test_search_gap_wider_golden_digests(capsys, flags, last_line, digest):
+    code, out, err = run(capsys, "search-gap", *flags)
+    assert code == 0
+    assert out.splitlines()[-1] == last_line
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_wider_golden(capsys):
+    code, out, err = run(capsys, "verify", "--max-e", "4", "--atoms", "3",
+                         "--up-to-iso")
+    assert code == 0
+    assert out == ("semilattices: 9\nalgebras: 1\nrepresentations: 383\n"
+                   "checks: 20274\nviolations: 0\n")
 
 
 def test_verify_accepts_repeated_atoms(capsys):

@@ -33,15 +33,18 @@ def index_table(sl: FiniteMeetSemilattice):
 # -- semilattice enumeration -----------------------------------------------------
 
 def test_small_counts():
-    assert sum(1 for _ in enumerate_semilattices(1)) == 1
-    assert sum(1 for _ in enumerate_semilattices(2)) == 1
-    assert sum(1 for _ in enumerate_semilattices(3)) == 3
-    assert sum(1 for _ in enumerate_semilattices(3, up_to_iso=True)) == 2
-    # recorded at build time from the enumerator itself; the structure of
-    # the count is confirmed by the n<=3 brute-force cross-check below and
-    # by 5 being the number of unlabeled lattices on 5 points (adjoin a top)
-    assert sum(1 for _ in enumerate_semilattices(4)) == 19
-    assert sum(1 for _ in enumerate_semilattices(4, up_to_iso=True)) == 5
+    # A meet-semilattice with zero on n elements plus an adjoined top is a
+    # lattice on n + 1 elements, so the counts are independent OEIS values:
+    # A006966 (lattices up to isomorphism) for the up-to-iso stream, and
+    # A055512 (labeled lattices) = labeled count * (n + 1) * n, the factor
+    # choosing the labels of the bottom and the top on n + 1 points.
+    unlabeled = [1, 1, 2, 5, 15]
+    labeled_lattices = [2, 6, 36, 380, 6390]
+    for n in range(1, 6):
+        assert (sum(1 for _ in enumerate_semilattices(n, up_to_iso=True))
+                == unlabeled[n - 1])
+        assert (sum(1 for _ in enumerate_semilattices(n)) * (n + 1) * n
+                == labeled_lattices[n - 1])
 
 
 def test_enumeration_matches_brute_force_filter():

@@ -72,6 +72,14 @@ def test_non_associative_table_is_rejected():
             [["0", "0", "0"],
              ["0", "b", "a"],
              ["0", "a", "0"]])
+    # the idempotents a and b do not commute either; associativity is first
+    with pytest.raises(ValidationError,
+                       match=r"^mul not associative at \(a, b, a\)$"):
+        FiniteInverseSemigroup(
+            ["0", "a", "b"], "0",
+            [["0", "0", "0"],
+             ["0", "a", "0"],
+             ["0", "a", "b"]])
 
 
 def test_zero_must_absorb():

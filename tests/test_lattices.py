@@ -45,6 +45,25 @@ def test_non_commutative_table_is_rejected():
         FiniteMeetSemilattice(
             ["0", "a", "b"], "0",
             [["0", "0", "0"], ["0", "a", "a"], ["0", "b", "b"]])
+    # also not associative at (a, b, a); commutativity is reported first
+    with pytest.raises(ValidationError,
+                       match=r"^meet not commutative at \(a, b\)$"):
+        FiniteMeetSemilattice(
+            ["0", "a", "b"], "0",
+            [["0", "0", "0"], ["0", "a", "0"], ["0", "a", "b"]])
+
+
+# commutative, idempotent, zero absorbing, but (a ∧ b) ∧ c != a ∧ (b ∧ c)
+NON_ASSOCIATIVE_MEET = [["0", "0", "0", "0"],
+                        ["0", "a", "0", "0"],
+                        ["0", "0", "b", "a"],
+                        ["0", "0", "a", "c"]]
+
+
+def test_non_associative_table_reports_the_first_triple():
+    with pytest.raises(ValidationError,
+                       match=r"^meet not associative at \(a, b, c\)$"):
+        FiniteMeetSemilattice(["0", "a", "b", "c"], "0", NON_ASSOCIATIVE_MEET)
 
 
 def test_non_idempotent_table_is_rejected():
@@ -135,6 +154,16 @@ def test_four_element_chain_has_no_complements():
                  ["1", "1", "1", "1"]]
     with pytest.raises(ValidationError, match="relative complement missing"):
         FiniteGenBoolAlg(["0", "a", "b", "1"], "0", rows_meet, rows_join)
+
+
+def test_join_commutativity_is_reported_before_meet_associativity():
+    join = [["0", "a", "b", "c"],
+            ["a", "a", "c", "c"],
+            ["b", "b", "b", "c"],
+            ["c", "c", "c", "c"]]
+    with pytest.raises(ValidationError,
+                       match=r"^join not commutative at \(a, b\)$"):
+        FiniteGenBoolAlg(["0", "a", "b", "c"], "0", NON_ASSOCIATIVE_MEET, join)
 
 
 def test_non_distributive_lattice_is_rejected():
@@ -290,19 +319,64 @@ def test_principal_ideal_examples(p2):
     assert principal_ideal(p2, "0").elements == ("0",)
 
 
+def principal_views():
+    """(algebra, generator, view) for every principal ideal of P(2) and P(3)."""
+    for k in (2, 3):
+        alg = powerset_algebra(k)
+        for e in alg.elements:
+            yield alg, e, principal_ideal(alg, e)
+
+
+def test_ideal_view_index_is_a_position_in_its_own_elements():
+    for _, _, view in principal_views():
+        for a in view.elements:
+            assert view.elements[view.index(a)] == a
+
+
+def test_ideal_view_operations_agree_with_the_parent():
+    for alg, _, view in principal_views():
+        for a in view.elements:
+            for b in view.elements:
+                assert view.meet(a, b) == alg.meet(a, b)
+                assert view.join(a, b) == alg.join(a, b)
+                assert view.leq(a, b) == alg.leq(a, b)
+                if alg.leq(a, b):
+                    assert (view.relative_complement(a, b)
+                            == alg.relative_complement(a, b))
+                else:
+                    with pytest.raises(ValidationError,
+                                       match=f"^relative complement requires {a} ≤ {b}$"):
+                        view.relative_complement(a, b)
+
+
 def test_ideal_view_complement_is_relative_to_view_top(p2):
     view = principal_ideal(p2, "1")
     assert view.complement("1") == "0"
     assert view.complement("0") == "1"
     assert p2.complement("1") == "2"     # the parent disagrees
+    for alg, e, view in principal_views():
+        assert view.top == e
+        assert view.meet_all([]) == e
+        for a in view.elements:
+            assert view.complement(a) == alg.relative_complement(a, e)
+            assert view.meet_all([a, e]) == a
 
 
-def test_ideal_view_membership_guard(p2):
-    view = principal_ideal(p2, "1")
-    with pytest.raises(ValidationError, match="outside this ideal view"):
-        view.meet("2", "1")
-    with pytest.raises(ValidationError, match="unknown element"):
-        view.meet("nope", "1")
+def test_ideal_view_membership_guard():
+    for alg, e, view in principal_views():
+        uses = [view.index, lambda x: view.meet(x, e), lambda x: view.meet(e, x),
+                lambda x: view.join(x, e), lambda x: view.leq(x, e),
+                lambda x: view.relative_complement("0", x), view.complement,
+                lambda x: view.meet_all([x]), lambda x: view.join_all([x]),
+                lambda x: view.sort([x])]
+        for use in uses:
+            for a in alg.elements:
+                if a not in view:
+                    with pytest.raises(ValidationError,
+                                       match=f"^element '{a}' is outside this ideal view$"):
+                        use(a)
+            with pytest.raises(ValidationError, match="^unknown element 'nope'$"):
+                use("nope")
 
 
 def test_ideal_view_as_algebra_revalidates(p2):
