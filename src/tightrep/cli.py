@@ -91,8 +91,21 @@ def _apply_view(rep: Representation, view: str) -> Representation:
     return tighten(rep).representation
 
 
+def _read_structures(path) -> StructureFile:
+    """Parse a structure file; bytes that are not UTF-8 are an input error."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len((data[:err.start].decode("utf-8") + "x").splitlines())
+        raise CliInputError(
+            f"line {line}: not valid UTF-8 (byte 0x{data[err.start]:02x} "
+            f"at offset {err.start})") from None
+    return parse(text)
+
+
 def cmd_validate(args) -> int:
-    sf = parse(Path(args.path).read_text(encoding="utf-8"))
+    sf = _read_structures(args.path)
     if not len(sf):
         raise CliInputError("no structures")
     print(f"ok: {len(sf)} structures")
@@ -100,7 +113,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    sf = parse(Path(args.path).read_text(encoding="utf-8"))
+    sf = _read_structures(args.path)
     block = sf[args.rep]
     rep = _apply_view(_representation_of(block), args.view)
     report = tightness_report(rep)
@@ -110,7 +123,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_tighten(args) -> int:
-    sf = parse(Path(args.path).read_text(encoding="utf-8"))
+    sf = _read_structures(args.path)
     block = sf[args.rep]
     if block.kind == "representation":
         blocks = _tighten_representation_blocks(sf, block)
@@ -130,8 +143,7 @@ def _tighten_representation_blocks(sf, block):
     domain_block = sf[block.refs["domain"]]
     algebra_name = block.refs["codomain"] + "_tightened"
     rep_name = block.name + "_tightened"
-    corestricted = Representation(
-        block.structure.domain, corner_algebra, block.structure.mapping)
+    corestricted = block.structure.with_codomain(corner_algebra)
     print(f"unit: {tightening.unit}")
     return [
         domain_block,

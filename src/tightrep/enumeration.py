@@ -24,9 +24,9 @@ from .lattices import (
 from .representations import (
     Representation,
     TightnessReport,
-    _graded_subsets,
-    _instance_choices,
-    _tight_instances,
+    _instances,
+    _prescribed_value,
+    _violations,
     constrained_interval,
     covers_of,
     is_cover_to_join,
@@ -256,7 +256,6 @@ def _check_representation(rep, summary):
         record(tight.ok == ctj.ok,
                "non-degenerate but tight and cover-to-join disagree")
 
-    aboves, disjoints = _instance_choices(E)
     if ctj.ok:
         t = tighten(rep)
         record(is_ideal(B.base, t.codomain.members).ok,
@@ -272,32 +271,30 @@ def _check_representation(rep, summary):
             for zs in covers_of(E, E.elements)),
             "tightening unit depends on the cover choice")
         # every instance with a nonempty above-set already holds
-        for above, _, family, rhs in _tight_instances(
-                rep, B, aboves[1:], disjoints):
-            for zs in covers_of(E, family):
-                record(B.join_all(rep.image(z) for z in zs) == rhs,
-                       f"cover-to-join but instance above {above[0]} fails")
+        nonempty = [inst for inst in _instances(E, "reduced") if inst[0]]
+        summary.checks += sum(len(covers) for *_, covers in nonempty)
+        for w in _violations(rep, B, nonempty):
+            summary.violations.append(
+                f"{label}: cover-to-join but instance above {w.above[0]} fails")
 
     # the prescribed value always dominates the members and their joins
-    for _, _, family, rhs in _tight_instances(rep, B, aboves, disjoints):
+    for above, disjoint, family, _ in _instances(E, "reduced"):
+        rhs = _prescribed_value(rep, B, above, disjoint)
         record(all(B.leq(rep.image(z), rhs) for z in family),
                "member image escapes the prescribed value")
 
 
 def _check_semilattice(E, summary):
     """Constrained-set reduction laws, exhaustively over subset pairs."""
-    subsets = list(_graded_subsets(E.elements))
-    for above in subsets:
-        for disjoint in subsets:
-            summary.checks += 1
-            full = constrained_interval(E, above, disjoint)
-            reduced_above = (E.meet_all(above),) if above else ()
-            maximal = tuple(
-                y for y in disjoint
-                if not any(y != w and E.leq(y, w) for w in disjoint))
-            if constrained_interval(E, reduced_above, maximal) != full:
-                summary.violations.append(
-                    f"constrained-set reduction unsound at {above}, {disjoint}")
+    for above, disjoint, full, _ in _instances(E, "all", minimal_only=False):
+        summary.checks += 1
+        reduced_above = (E.meet_all(above),) if above else ()
+        maximal = tuple(
+            y for y in disjoint
+            if not any(y != w and E.leq(y, w) for w in disjoint))
+        if constrained_interval(E, reduced_above, maximal) != full:
+            summary.violations.append(
+                f"constrained-set reduction unsound at {above}, {disjoint}")
 
 
 def verify_theorems(spec: UniverseSpec) -> VerificationSummary:

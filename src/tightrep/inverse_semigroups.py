@@ -102,12 +102,6 @@ class FiniteInverseSemigroup(_TableStructure):
         rows = [[self.mul(a, b) for b in idem] for a in idem]
         return FiniteMeetSemilattice(idem, self.zero, rows)
 
-    def sort(self, xs) -> tuple[str, ...]:
-        picked = set(xs)
-        for x in picked:
-            self.index(x)
-        return tuple(e for e in self.elements if e in picked)
-
 
 @dataclass(frozen=True)
 class GbisCheck:
@@ -129,11 +123,15 @@ def is_generalized_boolean_inverse_semigroup(semigroup) -> GbisCheck:
 
     Joins are not assumed: each pair of idempotents must have a least
     upper bound inside the idempotent order, and the resulting table must
-    pass the full algebra validation.
+    pass the full algebra validation.  The outcome is cached on the
+    semigroup.
     """
-    if semigroup._gbis is not None:
-        return semigroup._gbis
-    E = semigroup.idempotent_semilattice()
+    if semigroup._gbis is None:
+        semigroup._gbis = _gbis_check(semigroup.idempotent_semilattice())
+    return semigroup._gbis
+
+
+def _gbis_check(E) -> GbisCheck:
     join_rows = []
     for a in E.elements:
         row = []
@@ -141,23 +139,17 @@ def is_generalized_boolean_inverse_semigroup(semigroup) -> GbisCheck:
             ubs = [g for g in E.elements if E.leq(a, g) and E.leq(b, g)]
             least = [g for g in ubs if all(E.leq(g, h) for h in ubs)]
             if not least:
-                check = GbisCheck(
+                return GbisCheck(
                     False, witness=(a, b),
                     reason=f"idempotents ({a}, {b}) have no least upper bound")
-                semigroup._gbis = check
-                return check
             row.append(least[0])
         join_rows.append(row)
     meet_rows = [[E.meet(a, b) for b in E.elements] for a in E.elements]
     try:
         algebra = FiniteGenBoolAlg(E.elements, E.zero, meet_rows, join_rows)
     except ValidationError as err:
-        check = GbisCheck(False, reason=str(err))
-        semigroup._gbis = check
-        return check
-    check = GbisCheck(True, algebra=algebra)
-    semigroup._gbis = check
-    return check
+        return GbisCheck(False, reason=str(err))
+    return GbisCheck(True, algebra=algebra)
 
 
 class ISHomomorphism:

@@ -68,7 +68,8 @@ def _associativity_violation(table):
 
 
 class _TableStructure:
-    """Reading and the cold dunders shared by the table-defined structures.
+    """Reading, `sort` and the cold dunders shared by the table-defined
+    structures.
 
     Each subclass defines its own operations, even where the code is the
     same: CPython specializes attribute access inside a function per
@@ -94,6 +95,13 @@ class _TableStructure:
 
     def __contains__(self, a):
         return a in self._index
+
+    def sort(self, xs: Iterable[str]) -> tuple[str, ...]:
+        """The given elements in declared order (deduplicated)."""
+        picked = set(xs)
+        for x in picked:
+            self.index(x)
+        return tuple(e for e in self.elements if e in picked)
 
 
 class FiniteMeetSemilattice(_TableStructure):
@@ -152,13 +160,6 @@ class FiniteMeetSemilattice(_TableStructure):
         for x in xs[1:]:
             acc = self.meet(acc, x)
         return acc
-
-    def sort(self, xs: Iterable[str]) -> tuple[str, ...]:
-        """The given elements in declared order (deduplicated)."""
-        picked = set(xs)
-        for x in picked:
-            self.index(x)
-        return tuple(e for e in self.elements if e in picked)
 
 
 class FiniteGenBoolAlg(_TableStructure):
@@ -307,12 +308,6 @@ class FiniteGenBoolAlg(_TableStructure):
         for x in xs:
             acc = self.meet(acc, x)
         return acc
-
-    def sort(self, xs: Iterable[str]) -> tuple[str, ...]:
-        picked = set(xs)
-        for x in picked:
-            self.index(x)
-        return tuple(e for e in self.elements if e in picked)
 
     def as_meet_semilattice(self) -> FiniteMeetSemilattice:
         """The meet reduct, forgetting joins."""

@@ -11,12 +11,18 @@ the empty join is the zero of the codomain view, and the empty meet is
 the view's top.  All subset scans run in graded-lexicographic order over
 the declared element order, so witnesses are deterministic and minimal
 in that order.
+
+Cover-to-join, the tight scan and its oracle forms are one scan over
+different tight instances (above-set, disjointness set, constrained set,
+covers).  Instances depend on the semilattice alone, so each is computed
+once per semilattice; only prescribed values and joins are per map.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
 from .lattices import (
@@ -225,18 +231,15 @@ def antichains(semilattice: FiniteMeetSemilattice) -> Iterator[tuple[str, ...]]:
 def is_cover_to_join(rep: Representation, *, minimal_only: bool = True) -> Verdict:
     """Check that covers of everything below x always join to the image of x.
 
-    Scans every domain element and, for each, the minimal covers of its
-    lower set (all covers with minimal_only=False, for cross-checking).
+    These are the tight instances with above-set {x} and nothing
+    disjoint (constrained set ↓x, prescribed value the image of x).
+    Scans minimal covers (all covers with minimal_only=False).
     """
-    E, view = rep.domain, rep.codomain
-    for x in E.elements:
-        family = constrained_interval(E, (x,), ())
-        target = rep.image(x)
-        for zs in _covers(E, family, minimal_only):
-            lhs = view.join_all(rep.image(z) for z in zs)
-            if lhs != target:
-                return Verdict(False, CoverToJoinWitness(x, zs))
-    return Verdict(True)
+    instances = _instances(rep.domain, "cover-to-join", minimal_only)
+    w = next(_violations(rep, rep.codomain, instances), None)
+    if w is None:
+        return Verdict(True)
+    return Verdict(False, CoverToJoinWitness(w.above[0], w.cover))
 
 
 def is_tight(rep: Representation, view=None, *,
@@ -248,13 +251,12 @@ def is_tight(rep: Representation, view=None, *,
     scan shrinks provably without changing the verdict: the above-set
     collapses to a single element (meets are preserved, so constraining
     below a set is constraining below its meet, and the prescribed value
-    only sees the meet of the images), the disjointness set ranges over
-    antichains only (constraints and complements below a non-maximal
-    element are absorbed by a maximal one), and instances are
-    deduplicated by constrained set *and* prescribed value, since two
-    instances agreeing on both are the same check.  With reduced=False
-    both sets range over all subsets with no deduplication, which is the
-    oracle form of the scan.
+    only sees the meet of the images), and the disjointness set ranges
+    over antichains only (constraints and complements below a
+    non-maximal element are absorbed by a maximal one).  With
+    reduced=False both sets range over all subsets, which is the oracle
+    form of the scan.  The witness is the first failing cover in scan
+    order.
     """
     if view is None:
         view = rep.codomain
@@ -264,50 +266,64 @@ def is_tight(rep: Representation, view=None, *,
             raise ValidationError(
                 f"representation range not contained in the view "
                 f"(image of '{x}')")
-
-    seen = set()
-    instances = _tight_instances(rep, view, *_instance_choices(E, reduced))
-    for above, disjoint, family, rhs in instances:
-        if reduced:
-            if (family, rhs) in seen:
-                continue
-            seen.add((family, rhs))
-        for zs in _covers(E, family, minimal_only):
-            lhs = view.join_all(rep.image(z) for z in zs)
-            if lhs != rhs:
-                return Verdict(
-                    False, TightWitness(above, disjoint, zs, lhs, rhs))
-    return Verdict(True)
+    instances = _instances(E, "reduced" if reduced else "all", minimal_only)
+    w = next(_violations(rep, view, instances), None)
+    return Verdict(True) if w is None else Verdict(False, w)
 
 
-def _instance_choices(semilattice, reduced=True):
-    """The above-sets and disjointness sets the tight scan ranges over.
+# semilattice -> {(kind, minimal_only): ({position: instance}, aboves,
+#   disjoints), ("covers", minimal_only): {family: covers}}; names only.
+_MEMO = weakref.WeakKeyDictionary()
 
-    Reduced: the empty set and the singletons above, antichains
-    disjoint.  Unreduced: all subsets for both.
+
+def _instances(semilattice, kind, minimal_only=True):
+    """The tight instances of one scan kind, above-sets outermost.
+
+    Yields (above, disjoint, constrained set, covers) in graded-lex
+    order.  "cover-to-join": each singleton above, nothing disjoint.
+    "reduced": the empty set and the singletons above, antichains
+    disjoint.  "all": every subset for both (the oracle).  Covers are
+    the inclusion-minimal ones, or all of them without minimal_only.
+    Each instance is built when first reached and kept (equal constrained
+    sets share covers); memo updates are single idempotent dict calls.
     """
     E = semilattice
-    if reduced:
-        return [()] + [(x,) for x in E.elements], list(antichains(E))
-    subsets = list(_graded_subsets(E.elements))
-    return subsets, subsets
-
-
-def _tight_instances(rep, view, above_choices, disjoint_choices):
-    """Every tight instance (above, disjoint, constrained set, prescribed
-    value), above-sets outermost, in the order of the given choices.
-
-    The prescribed value is the meet in `view` of the images of `above`
-    and the complements, against the view's top, of the images of
-    `disjoint`.  Instances are not deduplicated.
-    """
-    E = rep.domain
-    for above in above_choices:
-        for disjoint in disjoint_choices:
+    plans = _MEMO.setdefault(E, {})
+    if (kind, minimal_only) not in plans:
+        if kind == "cover-to-join":
+            aboves, disjoints = [(x,) for x in E.elements], [()]
+        elif kind == "reduced":
+            aboves = [()] + [(x,) for x in E.elements]
+            disjoints = list(antichains(E))
+        else:
+            aboves = disjoints = list(_graded_subsets(E.elements))
+        plans.setdefault((kind, minimal_only), ({}, aboves, disjoints))
+    built, aboves, disjoints = plans[kind, minimal_only]
+    known = plans.setdefault(("covers", minimal_only), {})
+    for i, (above, disjoint) in enumerate(product(aboves, disjoints)):
+        if i not in built:
             family = constrained_interval(E, above, disjoint)
-            terms = [rep.image(x) for x in above]
-            terms += [view.complement(rep.image(y)) for y in disjoint]
-            yield above, disjoint, family, view.meet_all(terms)
+            if family not in known:
+                known[family] = tuple(_covers(E, family, minimal_only))
+            built.setdefault(i, (above, disjoint, family, known[family]))
+        yield built[i]
+
+
+def _prescribed_value(rep, view, above, disjoint):
+    """Meet in `view` of the images of `above` and of `disjoint`'s complements."""
+    terms = [rep.image(x) for x in above]
+    terms += [view.complement(rep.image(y)) for y in disjoint]
+    return view.meet_all(terms)
+
+
+def _violations(rep, view, instances):
+    """Each cover whose image join misses the prescribed value, in scan order."""
+    for above, disjoint, _, covers in instances:
+        rhs = _prescribed_value(rep, view, above, disjoint)
+        for zs in covers:
+            lhs = view.join_all(rep.image(z) for z in zs)
+            if lhs != rhs:
+                yield TightWitness(above, disjoint, zs, lhs, rhs)
 
 
 def is_nondegenerate(rep: Representation) -> Verdict:

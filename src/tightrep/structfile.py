@@ -43,6 +43,17 @@ class ParseError(ValueError):
 
 BLOCK_KINDS = ("semilattice", "algebra", "representation",
                "inverse_semigroup", "homomorphism")
+# the class and the tables, in file order, of each table-defined kind
+_TABLE_KINDS = {
+    "semilattice": (FiniteMeetSemilattice, ("meet",)),
+    "algebra": (FiniteGenBoolAlg, ("meet", "join")),
+    "inverse_semigroup": (FiniteInverseSemigroup, ("mul",)),
+}
+# the class and the domain and codomain kinds of each map kind
+_MAP_KINDS = {
+    "representation": (Representation, "semilattice", "algebra"),
+    "homomorphism": (ISHomomorphism, "inverse_semigroup", "inverse_semigroup"),
+}
 
 
 @dataclass
@@ -207,33 +218,18 @@ def _parse_block(cursor, blocks_so_far):
         return block
 
     try:
-        if kind == "semilattice":
-            need("elements", "zero", "meet")
-            structure = FiniteMeetSemilattice(
-                fields["elements"], fields["zero"], tables["meet"])
+        if kind in _TABLE_KINDS:
+            cls, labels = _TABLE_KINDS[kind]
+            need("elements", "zero", *labels)
+            structure = cls(fields["elements"], fields["zero"],
+                            *(tables[label] for label in labels))
             refs = {}
-        elif kind == "algebra":
-            need("elements", "zero", "meet", "join")
-            structure = FiniteGenBoolAlg(
-                fields["elements"], fields["zero"],
-                tables["meet"], tables["join"])
-            refs = {}
-        elif kind == "inverse_semigroup":
-            need("elements", "zero", "mul")
-            structure = FiniteInverseSemigroup(
-                fields["elements"], fields["zero"], tables["mul"])
-            refs = {}
-        elif kind == "representation":
-            need("domain", "codomain", "map")
-            dom = resolve("domain", ("semilattice",))
-            cod = resolve("codomain", ("algebra",))
-            structure = Representation(dom.structure, cod.structure, mapping)
-            refs = {"domain": dom.name, "codomain": cod.name}
         else:
+            cls, dom_kind, cod_kind = _MAP_KINDS[kind]
             need("domain", "codomain", "map")
-            dom = resolve("domain", ("inverse_semigroup",))
-            cod = resolve("codomain", ("inverse_semigroup",))
-            structure = ISHomomorphism(dom.structure, cod.structure, mapping)
+            dom = resolve("domain", (dom_kind,))
+            cod = resolve("codomain", (cod_kind,))
+            structure = cls(dom.structure, cod.structure, mapping)
             refs = {"domain": dom.name, "codomain": cod.name}
     except ValidationError as err:
         raise ParseError(lineno, f"in @{kind} {name}: {err}") from err
@@ -264,19 +260,11 @@ def _render_table(out, label, elements, op):
 def render_block(block: Block) -> str:
     s = block.structure
     out = [f"@{block.kind} {block.name}"]
-    if block.kind == "semilattice":
+    if block.kind in _TABLE_KINDS:
         out.append("elements: " + " ".join(s.elements))
         out.append(f"zero: {s.zero}")
-        _render_table(out, "meet", s.elements, s.meet)
-    elif block.kind == "algebra":
-        out.append("elements: " + " ".join(s.elements))
-        out.append(f"zero: {s.zero}")
-        _render_table(out, "meet", s.elements, s.meet)
-        _render_table(out, "join", s.elements, s.join)
-    elif block.kind == "inverse_semigroup":
-        out.append("elements: " + " ".join(s.elements))
-        out.append(f"zero: {s.zero}")
-        _render_table(out, "mul", s.elements, s.mul)
+        for label in _TABLE_KINDS[block.kind][1]:
+            _render_table(out, label, s.elements, getattr(s, label))
     else:
         out.append(f"domain: {block.refs['domain']}")
         out.append(f"codomain: {block.refs['codomain']}")

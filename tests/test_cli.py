@@ -413,6 +413,27 @@ def test_missing_file_is_an_input_error(capsys):
     assert "error:" in err
 
 
+def test_non_utf8_file_is_a_located_input_error(tmp_path):
+    # a bad byte must end in exit 1 and a message naming its line, not in
+    # a decoding traceback
+    path = tmp_path / "latin1.struct"
+    path.write_bytes(b"@semilattice E\nelements: 0 \xe9\nzero: 0\n")
+    src = Path(tightrep.__file__).resolve().parent.parent
+    for argv in (["validate", str(path)],
+                 ["check", str(path), "--rep", "E"],
+                 ["tighten", str(path), "--rep", "E",
+                  "--out", str(tmp_path / "out.struct")]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tightrep.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ("error: line 2: not valid UTF-8 "
+                               "(byte 0xe9 at offset 27)\n")
+    assert not (tmp_path / "out.struct").exists()
+
+
 def test_invalid_spec_values(capsys):
     code, out, err = run(capsys, "search-gap", "--max-e", "0", "--atoms", "2")
     assert code == 1

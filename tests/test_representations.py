@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tightrep import (
     FiniteMeetSemilattice,
@@ -24,12 +28,14 @@ from tightrep import (
     restrict_to_generated_ideal,
     tighten,
     antichains,
+    representations,
 )
 
 from conftest import (
     brute_constrained,
     brute_cover_to_join,
     brute_tight,
+    make_diamond,
     subsets_of,
 )
 
@@ -233,6 +239,185 @@ def test_cover_to_join_settles_all_nonempty_above_instances(p2):
                     + [view.complement(rep.image(y)) for y in disjoint])
                 for zs in covers_of(E, family):
                     assert view.join_all(rep.image(z) for z in zs) == rhs
+
+
+# -- instances are built once per semilattice ------------------------------------
+
+def test_second_scan_of_a_semilattice_builds_no_instance(monkeypatch, p2):
+    real = representations.constrained_interval
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(representations, "constrained_interval", counting)
+    reps = list(enumerate_representations(make_diamond(), p2))
+    for rep in reps:
+        is_cover_to_join(rep)
+        is_tight(rep)
+    assert calls
+    built = len(calls)
+    for rep in reps:
+        is_cover_to_join(rep)
+        is_tight(rep)
+    assert len(calls) == built
+
+
+def chain3_and_vee():
+    # same element names, different orders: instances must not be shared
+    chain3 = FiniteMeetSemilattice(
+        ["0", "1", "2"], "0",
+        [["0", "0", "0"], ["0", "1", "1"], ["0", "1", "2"]])
+    vee = FiniteMeetSemilattice(
+        ["0", "1", "2"], "0",
+        [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]])
+    return chain3, vee
+
+
+# (images of 1 and 2) -> (cover-to-join witness, tight witness in the full
+# view) per representation into P(2); recorded before instances were kept
+CHAIN3_WITNESSES = {
+    ("0", "0"): (None, ((), (), ("1",), "0", "12")),
+    ("0", "1"): (("2", ("1",)), ((), (), ("1",), "0", "12")),
+    ("0", "2"): (("2", ("1",)), ((), (), ("1",), "0", "12")),
+    ("0", "12"): (("2", ("1",)), ((), (), ("1",), "0", "12")),
+    ("1", "1"): (None, ((), (), ("1",), "1", "12")),
+    ("1", "12"): (("2", ("1",)), ((), (), ("1",), "1", "12")),
+    ("2", "2"): (None, ((), (), ("1",), "2", "12")),
+    ("2", "12"): (("2", ("1",)), ((), (), ("1",), "2", "12")),
+    ("12", "12"): (None, None),
+}
+VEE_WITNESSES = {
+    ("0", "0"): (None, ((), (), ("1", "2"), "0", "12")),
+    ("0", "1"): (None, ((), (), ("1", "2"), "1", "12")),
+    ("0", "2"): (None, ((), (), ("1", "2"), "2", "12")),
+    ("0", "12"): (None, None),
+    ("1", "0"): (None, ((), (), ("1", "2"), "1", "12")),
+    ("1", "2"): (None, None),
+    ("2", "0"): (None, ((), (), ("1", "2"), "2", "12")),
+    ("2", "1"): (None, None),
+    ("12", "0"): (None, None),
+}
+
+
+def test_interleaved_scans_of_same_named_semilattices(p2):
+    chain3, vee = chain3_and_vee()
+    pairs = zip(
+        [(rep, CHAIN3_WITNESSES) for rep in enumerate_representations(chain3, p2)],
+        [(rep, VEE_WITNESSES) for rep in enumerate_representations(vee, p2)],
+        strict=True)
+    for pair in pairs:
+        for rep, witnesses in pair:
+            ctj_witness, tight_witness = witnesses[
+                (rep.image("1"), rep.image("2"))]
+            ctj = is_cover_to_join(rep)
+            assert ctj.ok == brute_cover_to_join(rep) == (ctj_witness is None)
+            if not ctj.ok:
+                w = ctj.witness
+                assert (w.element, w.cover) == ctj_witness
+            tight = is_tight(rep)
+            assert tight.ok == brute_tight(rep) == (tight_witness is None)
+            if not tight.ok:
+                w = tight.witness
+                assert (w.above, w.disjoint, w.cover, w.lhs, w.rhs) == \
+                    tight_witness
+            if ctj.ok:
+                corner = tighten(rep).codomain
+                assert is_tight(rep, corner).ok
+                assert brute_tight(rep, corner)
+
+
+def test_scan_started_while_an_instance_is_built_keeps_positions(
+        monkeypatch, p2):
+    # a second scan that runs while the first is building an instance (as
+    # after a thread switch) stores it and stops early; the first scan must
+    # then keep that instance, not store it again one position later
+    E, serial = make_diamond(), make_diamond()
+    reps = list(enumerate_representations(E, p2))
+    failing = next(rep for rep in reps if not brute_tight(rep))
+    real = representations.constrained_interval
+    nested = []
+
+    def interrupting(*args):
+        if not nested:
+            nested.append("running")
+            nested[0] = is_tight(failing, reduced=False, minimal_only=False)
+        return real(*args)
+    monkeypatch.setattr(representations, "constrained_interval", interrupting)
+    got = [is_tight(rep, reduced=False, minimal_only=False) for rep in reps]
+    monkeypatch.undo()
+    assert not nested[0].ok
+    assert got == [is_tight(rep, reduced=False, minimal_only=False)
+                   for rep in enumerate_representations(serial, p2)]
+    assert list(representations._instances(E, "all", False)) == \
+        list(representations._instances(serial, "all", False))
+
+
+def test_concurrent_scans_of_one_semilattice_agree(p2):
+    # threads fill one semilattice's instances at once; a lost or doubled
+    # update would shift instance positions
+    def scans(reps):
+        return [(is_cover_to_join(rep), is_tight(rep),
+                 is_tight(rep, reduced=False, minimal_only=False))
+                for rep in reps]
+
+    serial = make_diamond()
+    expected = scans(enumerate_representations(serial, p2))
+    kinds = [("cover-to-join", True), ("reduced", True), ("all", False)]
+    for _ in range(5):
+        E = make_diamond()
+        reps = list(enumerate_representations(E, p2))
+        start = threading.Barrier(6)
+        results = []
+
+        def worker(k):
+            start.wait(timeout=60)
+            results.append((k, scans(reps[k:] + reps[:k])))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(k for k, _ in results) == list(range(6))
+        for k, got in results:
+            assert got == expected[k:] + expected[:k]
+        for kind, minimal_only in kinds:
+            assert list(representations._instances(E, kind, minimal_only)) \
+                == list(representations._instances(serial, kind, minimal_only))
+
+
+SMALL_SEMILATTICES = [E for n in (1, 2, 3, 4) for E in enumerate_semilattices(n)]
+CODOMAINS = (powerset_algebra(1), powerset_algebra(2))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_scans_agree_with_brute_force_oracles_on_drawn_views(data):
+    E = data.draw(st.sampled_from(SMALL_SEMILATTICES))
+    B = data.draw(st.sampled_from(CODOMAINS))
+    rep = data.draw(st.sampled_from(list(enumerate_representations(E, B))))
+    views = ["full", "generated ideal"]
+    if is_cover_to_join(rep).ok:
+        views.append("corner")
+    view = data.draw(st.sampled_from(views))
+    if view == "generated ideal":
+        rep = restrict_to_generated_ideal(rep)
+    elif view == "corner":
+        rep = tighten(rep).representation
+    expected = brute_tight(rep)
+    assert is_cover_to_join(rep).ok == brute_cover_to_join(rep)
+    assert is_cover_to_join(rep, minimal_only=False).ok == \
+        brute_cover_to_join(rep)
+    assert is_tight(rep).ok == expected
+    assert is_tight(rep, reduced=False, minimal_only=False).ok == expected
 
 
 # -- non-degeneracy ------------------------------------------------------------------
