@@ -10,6 +10,7 @@ internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -219,7 +220,13 @@ def cmd_verify(args) -> int:
     return 0 if summary.ok else 1
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and shared by later ones.
+
+    Each parse starts from a fresh namespace and `append` actions copy
+    their list, so no value carries over from one `main` call to the next.
+    """
     parser = _Parser(prog="tightrep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -263,7 +270,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (CliInputError, ParseError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

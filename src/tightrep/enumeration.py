@@ -1,8 +1,11 @@
 """Generators for small universes and exhaustive theorem verification.
 
 Semilattices are enumerated as labeled meet tables with the zero pinned
-to the first element, optionally one representative per isomorphism
-class (canonical form: lexicographically least table over relabelings).
+to the first element, by a backtracker that drops a branch as soon as
+its set entries break associativity on some triple; optionally one
+representative per isomorphism class (canonical form: lexicographically
+least table over relabelings), kept by a filter that rejects a table at
+its first smaller relabeling.
 Codomains are powerset algebras, which lose no generality for unital
 codomains.  The searches stream lazily and deterministically: two runs
 over the same spec produce identical streams.
@@ -70,26 +73,37 @@ def _meet_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
     Backtracks over the free entries (i, j) with 1 <= i < j in
     lexicographic order; values run over 0..n-1, so the stream is ordered
-    by the assignment vector.  A candidate value v for entry (i, j) must
-    already satisfy v ∧ i = v and v ∧ j = v wherever those entries are
-    determined; associativity is checked in full at the leaves.
+    by the assignment vector.  After entry (i, j) is set to v, every
+    triple {i, j, c} is checked: in a semilattice (i ∧ j) ∧ c, i ∧ (j ∧ c)
+    and j ∧ (i ∧ c) are equal, so if two of them are already determined
+    and differ, the branch is pruned.  Set entries never change below a
+    node, so a pruned branch has no valid leaf and the stream is the one
+    the unpruned search gives.  (c = i and c = j give v ∧ i = v and
+    v ∧ j = v, so v lies below both.)  Associativity is still checked in
+    full at every leaf.
     """
-    table = [[0] * n for _ in range(n)]
+    table = [[None] * n for _ in range(n)]
     for i in range(n):
         table[i][i] = i
         table[0][i] = table[i][0] = 0
     pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
-    unset = object()
-    for i, j in pairs:
-        table[i][j] = table[j][i] = unset
+    others = range(1, n)
 
-    def lookup(a, b):
-        if a == b:
-            return a
-        if a == 0 or b == 0:
-            return 0
-        v = table[min(a, b)][max(a, b)]
-        return None if v is unset else v
+    def consistent(i, j, v):
+        ti, tj, tv = table[i], table[j], table[v]
+        for c in others:
+            known = tv[c]                   # (i ∧ j) ∧ c
+            ic = ti[c]
+            if ic is not None and tj[ic] is not None:
+                if known is None:
+                    known = tj[ic]          # j ∧ (i ∧ c)
+                elif tj[ic] != known:
+                    return False
+            jc = tj[c]
+            if (jc is not None and known is not None
+                    and ti[jc] is not None and ti[jc] != known):
+                return False                # i ∧ (j ∧ c)
+        return True
 
     def backtrack(k):
         if k == len(pairs):
@@ -98,34 +112,64 @@ def _meet_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             return
         i, j = pairs[k]
         for v in range(n):
-            if v not in (0, i, j):
-                if lookup(v, i) not in (None, v) or lookup(v, j) not in (None, v):
-                    continue
             table[i][j] = table[j][i] = v
-            yield from backtrack(k + 1)
-        table[i][j] = table[j][i] = unset
+            if consistent(i, j, v):
+                yield from backtrack(k + 1)
+        table[i][j] = table[j][i] = None
 
     yield from backtrack(0)
+
+
+def _relabeling_is_smaller(table, sigma, best) -> bool:
+    """Whether the table relabeled by sigma is lexicographically below best.
+
+    The relabeling sends entry (a, b) = v to (sigma[a], sigma[b]) =
+    sigma[v].  Entries are compared in row-major order and the scan stops
+    at the first difference.  Both tables are meet tables with zero 0 and
+    sigma fixes 0, so row 0, column 0 and the diagonal agree, and by
+    symmetry the first difference lies above the diagonal.
+    """
+    n = len(table)
+    tau = [0] * n
+    for a, s in enumerate(sigma):
+        tau[s] = a
+    for p in range(1, n - 1):
+        row, best_row = table[tau[p]], best[p]
+        for q in range(p + 1, n):
+            x, y = sigma[row[tau[q]]], best_row[q]
+            if x != y:
+                return x < y
+    return False
+
+
+def _relabelings(n: int):
+    """The relabelings of 0..n-1 that fix the zero 0."""
+    return ((0,) + perm for perm in permutations(range(1, n)))
 
 
 def canonical_meet_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeling of an index meet table.
 
     Relabelings fix 0 (any isomorphism maps the zero to the zero, since
-    it is the unique minimum).
+    it is the unique minimum).  Each relabeling is compared lazily with
+    the least one found so far and built only when it is smaller.
     """
     n = len(table)
     best = tuple(tuple(row) for row in table)
-    for perm in permutations(range(1, n)):
-        sigma = (0,) + perm
-        relabeled = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                relabeled[sigma[a]][sigma[b]] = sigma[table[a][b]]
-        candidate = tuple(tuple(row) for row in relabeled)
-        if candidate < best:
-            best = candidate
+    for sigma in _relabelings(n):
+        if _relabeling_is_smaller(table, sigma, best):
+            relabeled = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    relabeled[sigma[a]][sigma[b]] = sigma[table[a][b]]
+            best = tuple(tuple(row) for row in relabeled)
     return best
+
+
+def _is_canonical(table) -> bool:
+    """Whether no relabeling of the meet table is lexicographically smaller."""
+    return not any(_relabeling_is_smaller(table, sigma, table)
+                   for sigma in _relabelings(len(table)))
 
 
 def enumerate_semilattices(n: int, up_to_iso: bool = False
@@ -133,13 +177,14 @@ def enumerate_semilattices(n: int, up_to_iso: bool = False
     """All labeled meet-semilattices on n elements named "0".."n-1".
 
     The zero is always element "0".  With up_to_iso only tables equal to
-    their canonical form are emitted.
+    their canonical form are emitted; the filter stops at the first
+    relabeling smaller than the table, so it never builds a canonical form.
     """
     if n < 1:
         raise ValidationError("semilattice size must be at least 1")
     names = tuple(str(i) for i in range(n))
     for table in _meet_tables(n):
-        if up_to_iso and canonical_meet_table(table) != table:
+        if up_to_iso and not _is_canonical(table):
             continue
         rows = [[names[v] for v in row] for row in table]
         yield FiniteMeetSemilattice(names, "0", rows)

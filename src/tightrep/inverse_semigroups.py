@@ -132,21 +132,30 @@ def is_generalized_boolean_inverse_semigroup(semigroup) -> GbisCheck:
 
 
 def _gbis_check(E) -> GbisCheck:
+    # In a finite meet-semilattice the meet of all common upper bounds of
+    # a and b is again one, so a least upper bound exists exactly when
+    # some upper bound does.
+    els, m = E.elements, E._meet
+    rng = range(len(els))
+    above = [[g for g in rng if m[a][g] == a] for a in rng]
     join_rows = []
-    for a in E.elements:
+    for a in rng:
         row = []
-        for b in E.elements:
-            ubs = [g for g in E.elements if E.leq(a, g) and E.leq(b, g)]
-            least = [g for g in ubs if all(E.leq(g, h) for h in ubs)]
-            if not least:
+        for b in rng:
+            ubs = [g for g in above[a] if m[b][g] == b]
+            if not ubs:
                 return GbisCheck(
-                    False, witness=(a, b),
-                    reason=f"idempotents ({a}, {b}) have no least upper bound")
-            row.append(least[0])
+                    False, witness=(els[a], els[b]),
+                    reason=f"idempotents ({els[a]}, {els[b]}) have no least "
+                           f"upper bound")
+            lub = ubs[0]
+            for g in ubs:
+                lub = m[lub][g]
+            row.append(els[lub])
         join_rows.append(row)
-    meet_rows = [[E.meet(a, b) for b in E.elements] for a in E.elements]
+    meet_rows = [[els[v] for v in row] for row in m]
     try:
-        algebra = FiniteGenBoolAlg(E.elements, E.zero, meet_rows, join_rows)
+        algebra = FiniteGenBoolAlg(els, E.zero, meet_rows, join_rows)
     except ValidationError as err:
         return GbisCheck(False, reason=str(err))
     return GbisCheck(True, algebra=algebra)

@@ -196,6 +196,18 @@ def brute_tight(rep, view=None):
     return True
 
 
+def satisfies_semilattice_axioms(t):
+    """Whether an index table is idempotent, commutative and associative
+    with absorbing zero at index 0."""
+    rng = range(len(t))
+    return not (
+        any(t[i][i] != i for i in rng)
+        or any(t[0][i] != 0 or t[i][0] != 0 for i in rng)
+        or any(t[i][j] != t[j][i] for i in rng for j in rng)
+        or any(t[t[i][j]][k] != t[i][t[j][k]]
+               for i in rng for j in rng for k in rng))
+
+
 def brute_semilattice_tables(n):
     """All of the n^(n*n) tables that satisfy the semilattice axioms with
     absorbing zero at index 0, as index tables."""
@@ -203,16 +215,8 @@ def brute_semilattice_tables(n):
     found = []
     for flat in product(rng, repeat=n * n):
         t = [list(flat[i * n:(i + 1) * n]) for i in rng]
-        if any(t[i][i] != i for i in rng):
-            continue
-        if any(t[0][i] != 0 or t[i][0] != 0 for i in rng):
-            continue
-        if any(t[i][j] != t[j][i] for i in rng for j in rng):
-            continue
-        if any(t[t[i][j]][k] != t[i][t[j][k]]
-               for i in rng for j in rng for k in rng):
-            continue
-        found.append(tuple(tuple(row) for row in t))
+        if satisfies_semilattice_axioms(t):
+            found.append(tuple(tuple(row) for row in t))
     return found
 
 

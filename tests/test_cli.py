@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tightrep
+from tightrep import cli
 from tightrep.cli import main
 from tightrep import parse
 
@@ -344,6 +345,24 @@ def test_enumerate_up_to_iso(capsys):
     assert len(blocks) == 2
 
 
+# sha256 of the full stdout: pruning and the early-exit isomorphism
+# filter must leave the stream and its order as they are
+ENUMERATE_SIZE6_DIGESTS = [
+    ((), "# count: 3761",
+     "82967ba6658a9d23f39e65f79664cca3564b093d5592f93a5e29b7eb865ff7c6"),
+    (("--up-to-iso",), "# count: 53",
+     "7b23b9795d50cd6de8ff780b712f06dc20816fc5d66839de517c995edabd6710"),
+]
+
+
+@pytest.mark.parametrize("flags, last_line, digest", ENUMERATE_SIZE6_DIGESTS)
+def test_enumerate_size6_golden_digests(capsys, flags, last_line, digest):
+    code, out, err = run(capsys, "enumerate", "--size", "6", *flags)
+    assert code == 0
+    assert out.splitlines()[-1] == last_line
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_search_gap_golden_and_determinism(capsys):
     code, first, err = run(capsys, "search-gap", "--max-e", "2", "--atoms", "2")
     assert code == 0
@@ -438,3 +457,29 @@ def test_invalid_spec_values(capsys):
     code, out, err = run(capsys, "search-gap", "--max-e", "0", "--atoms", "2")
     assert code == 1
     assert "at least 1" in err
+
+
+def test_successive_calls_match_fresh_processes(capsys):
+    # the parser is built once per process; no appended list, flag or
+    # default may leak from one call into the next
+    cli._parser.cache_clear()
+    src = Path(tightrep.__file__).resolve().parent.parent
+    calls = [
+        ["verify", "--max-e", "3", "--atoms", "2"],
+        ["verify", "--max-e", "3", "--atoms", "3"],
+        ["search-gap", "--max-e", "3", "--atoms", "2", "--up-to-iso"],
+        ["search-gap", "--max-e", "3", "--atoms", "2"],
+        ["enumerate", "--size", "4", "--up-to-iso"],
+        ["enumerate", "--size", "4"],
+        ["verify", "--max-e", "2"],
+        ["verify", "--max-e", "2", "--atoms", "1"],
+    ]
+    for argv in calls:
+        got = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tightrep.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert run(capsys, "verify", "--max-e", "2")[0] == 1
+    assert cli._parser.cache_info().misses == 1

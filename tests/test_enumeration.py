@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,12 @@ from tightrep import (
     verify_theorems,
 )
 
-from conftest import brute_cover_to_join, brute_semilattice_tables, brute_tight
+from conftest import (
+    brute_cover_to_join,
+    brute_semilattice_tables,
+    brute_tight,
+    satisfies_semilattice_axioms,
+)
 
 
 def index_table(sl: FiniteMeetSemilattice):
@@ -38,9 +43,9 @@ def test_small_counts():
     # A006966 (lattices up to isomorphism) for the up-to-iso stream, and
     # A055512 (labeled lattices) = labeled count * (n + 1) * n, the factor
     # choosing the labels of the bottom and the top on n + 1 points.
-    unlabeled = [1, 1, 2, 5, 15]
-    labeled_lattices = [2, 6, 36, 380, 6390]
-    for n in range(1, 6):
+    unlabeled = [1, 1, 2, 5, 15, 53]
+    labeled_lattices = [2, 6, 36, 380, 6390, 157962]
+    for n in range(1, 7):
         assert (sum(1 for _ in enumerate_semilattices(n, up_to_iso=True))
                 == unlabeled[n - 1])
         assert (sum(1 for _ in enumerate_semilattices(n)) * (n + 1) * n
@@ -53,6 +58,30 @@ def test_enumeration_matches_brute_force_filter():
         got = [index_table(sl) for sl in enumerate_semilattices(n)]
         assert len(got) == len(set(got))
         assert set(got) == expected
+
+
+def brute_meet_table_stream(n):
+    """Every assignment of the entries (i, j), 1 <= i < j, that passes the
+    axiom filter, sorted by the assignment vector."""
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    found = []
+    for values in product(range(n), repeat=len(pairs)):
+        t = [[0] * n for _ in range(n)]
+        for i in range(n):
+            t[i][i] = i
+        for (i, j), v in zip(pairs, values):
+            t[i][j] = t[j][i] = v
+        if satisfies_semilattice_axioms(t):
+            found.append((values, tuple(tuple(row) for row in t)))
+    return [t for _, t in sorted(found)]
+
+
+def test_enumeration_stream_matches_sorted_brute_oracle():
+    # the pruned backtracker must emit exactly the valid tables, in the
+    # order of their assignment vectors
+    for n in range(1, 6):
+        got = [index_table(sl) for sl in enumerate_semilattices(n)]
+        assert got == brute_meet_table_stream(n)
 
 
 def test_enumeration_is_deterministic():
@@ -79,12 +108,36 @@ def test_canonical_form_is_idempotent():
         assert canonical_meet_table(canon) == canon
 
 
+def brute_canonical_table(table):
+    """The least of the fully built relabelings fixing 0."""
+    n = len(table)
+    best = None
+    for perm in permutations(range(1, n)):
+        sigma = (0,) + perm
+        relabeled = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                relabeled[sigma[a]][sigma[b]] = sigma[table[a][b]]
+        candidate = tuple(tuple(row) for row in relabeled)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def test_canonical_form_matches_brute_oracle():
+    for n in range(1, 6):
+        for sl in enumerate_semilattices(n):
+            table = index_table(sl)
+            assert canonical_meet_table(table) == brute_canonical_table(table)
+
+
 def test_canonical_members_are_exactly_the_up_to_iso_stream():
-    canonical = {canonical_meet_table(index_table(sl))
-                 for sl in enumerate_semilattices(4)}
-    emitted = [index_table(sl)
-               for sl in enumerate_semilattices(4, up_to_iso=True)]
-    assert set(emitted) == canonical
+    for n in range(1, 6):
+        labeled = [index_table(sl) for sl in enumerate_semilattices(n)]
+        emitted = [index_table(sl)
+                   for sl in enumerate_semilattices(n, up_to_iso=True)]
+        assert set(emitted) == {canonical_meet_table(t) for t in labeled}
+        assert emitted == [t for t in labeled if canonical_meet_table(t) == t]
 
 
 @settings(max_examples=60)

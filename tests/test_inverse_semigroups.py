@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from tightrep import (
+    FiniteGenBoolAlg,
     FiniteInverseSemigroup,
     ISHomomorphism,
     NotCoverToJoinError,
     ValidationError,
     check_homomorphism_tightness,
+    enumerate_semilattices,
     is_generalized_boolean_inverse_semigroup,
     powerset_algebra,
     principal_ideal,
@@ -155,6 +157,49 @@ def test_three_chain_has_joins_but_no_complements():
     assert not check.ok
     assert check.witness is None
     assert "complement missing" in check.reason
+
+
+def name_level_gbis(E):
+    """The least-upper-bound search over element names, with every upper
+    bound compared against every other: (witness pair, reason, algebra)."""
+    join_rows = []
+    for a in E.elements:
+        row = []
+        for b in E.elements:
+            ubs = [g for g in E.elements if E.leq(a, g) and E.leq(b, g)]
+            least = [g for g in ubs if all(E.leq(g, h) for h in ubs)]
+            if not least:
+                return ((a, b),
+                        f"idempotents ({a}, {b}) have no least upper bound",
+                        None)
+            row.append(least[0])
+        join_rows.append(row)
+    meet_rows = [[E.meet(a, b) for b in E.elements] for a in E.elements]
+    try:
+        algebra = FiniteGenBoolAlg(E.elements, E.zero, meet_rows, join_rows)
+    except ValidationError as err:
+        return None, str(err), None
+    return None, None, algebra
+
+
+def test_gbis_check_agrees_with_the_name_level_search():
+    semigroups = [make_i2(), make_b2(), make_z2_with_zero()]
+    for n in range(1, 6):
+        semigroups.extend(semigroup_from_semilattice(sl)
+                          for sl in enumerate_semilattices(n))
+    outcomes = set()
+    for S in semigroups:
+        check = is_generalized_boolean_inverse_semigroup(S)
+        witness, reason, algebra = name_level_gbis(S.idempotent_semilattice())
+        assert (check.ok, check.witness, check.reason) == (
+            algebra is not None, witness, reason)
+        if algebra is not None:
+            E = check.algebra
+            assert E.elements == algebra.elements
+            assert all(E.join(a, b) == algebra.join(a, b)
+                       for a in E.elements for b in E.elements)
+        outcomes.add((check.ok, check.witness is None))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 # -- homomorphisms -------------------------------------------------------------------
