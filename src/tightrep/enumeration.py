@@ -14,7 +14,7 @@ over the same spec produce identical streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from .lattices import (
@@ -27,8 +27,9 @@ from .lattices import (
 from .representations import (
     Representation,
     TightnessReport,
+    _bitsets,
     _instances,
-    _prescribed_value,
+    _prescribed_mask,
     _violations,
     constrained_interval,
     covers_of,
@@ -215,18 +216,47 @@ def enumerate_representations(semilattice: FiniteMeetSemilattice,
                               algebra) -> Iterator[Representation]:
     """All representations of the semilattice in the algebra (or view).
 
-    Candidate maps are scanned lexicographically over the codomain's
-    declared order, zero pinned to zero, and filtered by meet
-    preservation.
+    Images of the nonzero elements are assigned depth-first in declared
+    order, each running over the codomain's declared order, with zero
+    pinned to zero; the stream is therefore the lexicographic order of
+    the candidate maps.  A branch is dropped as soon as some meet triple
+    (a, b, a ∧ b) has all three images set and the image of a ∧ b is not
+    the meet (`&` of atom masks) of the other two.  Set images never
+    change below a node, so no dropped branch holds a representation.
+    Every map that survives is validated in full by `Representation`.
     """
     E, B = semilattice, algebra
-    nonzero = tuple(x for x in E.elements if x != E.zero)
-    for images in product(B.elements, repeat=len(nonzero)):
-        mapping = dict(zip(nonzero, images))
-        mapping[E.zero] = B.zero
-        if all(mapping[E.meet(x, y)] == B.meet(mapping[x], mapping[y])
-               for x in nonzero for y in nonzero):
+    z = E.index(E.zero)
+    nonzero = [p for p in range(len(E.elements)) if p != z]
+    step = {z: -1}
+    step.update((p, k) for k, p in enumerate(nonzero))
+    # each triple is checked at the step that sets the last of its images
+    triples = [[] for _ in nonzero]
+    for k, a in enumerate(nonzero):
+        for b in nonzero[k + 1:]:
+            c = E._meet[a][b]
+            triples[max(step[a], step[b], step[c])].append((a, b, c))
+    img = [0] * len(E.elements)
+    chosen = [None] * len(nonzero)
+
+    def assign(k):
+        if k == len(nonzero):
+            mapping = {E.elements[p]: B.elements[v]
+                       for p, v in zip(nonzero, chosen)}
+            mapping[E.zero] = B.zero
             yield Representation(E, B, mapping)
+            return
+        p = nonzero[k]
+        for v, mask in enumerate(B._masks):
+            img[p] = mask
+            for a, b, c in triples[k]:
+                if img[c] != img[a] & img[b]:
+                    break
+            else:
+                chosen[k] = v
+                yield from assign(k + 1)
+
+    yield from assign(0)
 
 
 def _universe(spec: UniverseSpec):
@@ -278,7 +308,7 @@ class VerificationSummary:
 
 def _check_representation(rep, summary):
     """Run every representation-level invariant on one example."""
-    E, B = rep.domain, rep.codomain
+    E, B, img = rep.domain, rep.codomain, rep._images
     label = "map " + " ".join(f"{x}->{rep.image(x)}" for x in E.elements)
 
     def record(cond, text):
@@ -309,34 +339,49 @@ def _check_representation(rep, summary):
                "tightening corner misses part of the range")
         record(is_tight(rep, t.codomain).ok,
                "not tight in the tightening corner")
-        full_join = B.join_all(
-            rep.image(x) for x in E.elements if x != E.zero)
+        full_join = _join_mask(img, range(len(img)))
         record(all(
-            B.join_all(rep.image(z) for z in zs) == full_join
+            _join_mask(img, map(E.index, zs)) == full_join
             for zs in covers_of(E, E.elements)),
             "tightening unit depends on the cover choice")
         # every instance with a nonempty above-set already holds
         nonempty = [inst for inst in _instances(E, "reduced") if inst[0]]
-        summary.checks += sum(len(covers) for *_, covers in nonempty)
-        for w in _violations(rep, B, nonempty):
+        summary.checks += sum(len(inst[3]) for inst in nonempty)
+        for w in _violations(B, img, nonempty):
             summary.violations.append(
                 f"{label}: cover-to-join but instance above {w.above[0]} fails")
 
     # the prescribed value always dominates the members and their joins
-    for above, disjoint, family, _ in _instances(E, "reduced"):
-        rhs = _prescribed_value(rep, B, above, disjoint)
-        record(all(B.leq(rep.image(z), rhs) for z in family),
+    for *_, (xs, ys, family, _) in _instances(E, "reduced"):
+        rhs = _prescribed_mask(img, B._unit, xs, ys)
+        record(not _join_mask(img, family) & ~rhs,
                "member image escapes the prescribed value")
+
+
+def _join_mask(img, positions):
+    """The OR of the image masks at the given domain positions."""
+    acc = 0
+    for p in positions:
+        acc |= img[p]
+    return acc
 
 
 def _check_semilattice(E, summary):
     """Constrained-set reduction laws, exhaustively over subset pairs."""
-    for above, disjoint, full, _ in _instances(E, "all", minimal_only=False):
+    els, meet = E.elements, E._meet
+    down, _ = _bitsets(E)
+    for above, disjoint, full, _, (xs, ys, _, _) in _instances(
+            E, "all", minimal_only=False):
         summary.checks += 1
-        reduced_above = (E.meet_all(above),) if above else ()
+        reduced_above = ()
+        if xs:
+            bound = xs[0]
+            for x in xs[1:]:
+                bound = meet[bound][x]
+            reduced_above = (els[bound],)
         maximal = tuple(
-            y for y in disjoint
-            if not any(y != w and E.leq(y, w) for w in disjoint))
+            els[y] for y in ys
+            if not any(y != w and down[w] >> y & 1 for w in ys))
         if constrained_interval(E, reduced_above, maximal) != full:
             summary.violations.append(
                 f"constrained-set reduction unsound at {above}, {disjoint}")

@@ -46,6 +46,7 @@ class FiniteInverseSemigroup(_TableStructure):
         (self._mul,) = self._read(elements, zero, mul=mul)
         self._inv = self._check_axioms()
         self._gbis = None   # cached outcome of the Boolean-idempotents check
+        self._idempotents = None    # cached idempotent semilattice
 
     def _check_axioms(self):
         els, m = self.elements, self._mul
@@ -97,10 +98,16 @@ class FiniteInverseSemigroup(_TableStructure):
         return tuple(e for e in self.elements if self.is_idempotent(e))
 
     def idempotent_semilattice(self) -> FiniteMeetSemilattice:
-        """The idempotents under multiplication, as a validated semilattice."""
-        idem = self.idempotent_elements
-        rows = [[self.mul(a, b) for b in idem] for a in idem]
-        return FiniteMeetSemilattice(idem, self.zero, rows)
+        """The idempotents under multiplication, as a validated semilattice.
+
+        Built once per semigroup, so every scan of it shares one instance
+        memo.
+        """
+        if self._idempotents is None:
+            idem = self.idempotent_elements
+            rows = [[self.mul(a, b) for b in idem] for a in idem]
+            self._idempotents = FiniteMeetSemilattice(idem, self.zero, rows)
+        return self._idempotents
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,18 @@ check and raises ValidationError on the first violation, so every live
 instance is known-good.  Instances are immutable after construction and
 safe to share; all operations are pure.
 
-An IdealView is the parent algebra's tables restricted to the members of
-an ideal, so it is a FiniteGenBoolAlg itself: its `index` is a position
-in the view's own `elements`, and its top is the join of its members.
+A finite generalized Boolean algebra is the powerset of its atoms.  The
+tables are read and validated as given; then each element gets its atom
+mask (bit k for the k-th atom in declared order), and meet, join and
+relative complement run as `&`, `|` and `b & ~a` on ints.  `_masks`
+holds the masks by position, `_mask_names` the names by mask, and
+`_unit` the mask of the top.  The scans of the representation layer run
+on these masks and turn them back into names only for witnesses.
+
+An IdealView is the parent algebra restricted to the members of an
+ideal, so it is a FiniteGenBoolAlg itself: its `index` is a position in
+the view's own `elements`.  It shares the parent's masks, and its unit
+(the mask of its top) is the join of its members.
 """
 
 from __future__ import annotations
@@ -179,12 +188,14 @@ class FiniteGenBoolAlg(_TableStructure):
                  meet: Sequence[Sequence[str]], join: Sequence[Sequence[str]]):
         self._meet, self._join = self._read(elements, zero, meet=meet, join=join)
         self._check_axioms()
-        self._complements = self._derive_complements()
+        self._check_complements()
         top = 0
         for i in range(len(self.elements)):
             top = self._join[top][i]
         self.top = self.elements[top]
         self._check_derived_laws()
+        self._masks, self._mask_names = self._atom_masks()
+        self._unit = self._masks[top]
 
     # -- validation ---------------------------------------------------
 
@@ -217,12 +228,11 @@ class FiniteGenBoolAlg(_TableStructure):
             if m[a][a] != a:
                 raise ValidationError(f"meet not idempotent at {els[a]}")
 
-    def _derive_complements(self):
-        """For every a ≤ b find the unique x with x ∨ a = b and x ∧ a = 0."""
+    def _check_complements(self):
+        """For every a ≤ b there is exactly one x with x ∨ a = b and x ∧ a = 0."""
         els, m, j = self.elements, self._meet, self._join
         n = len(els)
         z = self._index[self.zero]
-        comp = {}
         for a in range(n):
             for b in range(n):
                 if m[a][b] != a:        # only pairs with a ≤ b
@@ -234,8 +244,6 @@ class FiniteGenBoolAlg(_TableStructure):
                 if len(found) > 1:
                     raise ValidationError(
                         f"relative complement not unique for {els[a]} ≤ {els[b]}")
-                comp[(a, b)] = found[0]
-        return comp
 
     def _check_derived_laws(self):
         els, m, j = self.elements, self._meet, self._join
@@ -258,6 +266,29 @@ class FiniteGenBoolAlg(_TableStructure):
             if m[t][a] != a:
                 raise ValidationError(f"derived top is not a unit at {els[a]}")
 
+    def _atom_masks(self):
+        """Each element's atom mask by position, and the names by mask.
+
+        An atom is a nonzero element whose meet with anything is zero or
+        itself.  The algebra is the powerset of its atoms, so the masks
+        are a bijection onto 0..2^k - 1.
+        """
+        els, m = self.elements, self._meet
+        n = len(els)
+        z = self._index[self.zero]
+        atoms = [a for a in range(n)
+                 if a != z and all(v == z or v == a for v in m[a])]
+        masks = tuple(sum(1 << k for k, t in enumerate(atoms) if m[a][t] == t)
+                      for a in range(n))
+        names = [None] * n
+        for a, mask in enumerate(masks):
+            if mask < n:
+                names[mask] = els[a]
+        if n != 1 << len(atoms) or None in names:
+            raise InvariantError(
+                "a validated algebra is not the powerset of its atoms")
+        return masks, tuple(names)
+
     # -- operations ---------------------------------------------------
 
     @property
@@ -275,21 +306,23 @@ class FiniteGenBoolAlg(_TableStructure):
             raise ValidationError(f"unknown element '{a}'") from None
 
     def meet(self, a: str, b: str) -> str:
-        return self.elements[self._meet[self.index(a)][self.index(b)]]
+        return self._mask_names[
+            self._masks[self.index(a)] & self._masks[self.index(b)]]
 
     def join(self, a: str, b: str) -> str:
-        return self.elements[self._join[self.index(a)][self.index(b)]]
+        return self._mask_names[
+            self._masks[self.index(a)] | self._masks[self.index(b)]]
 
     def leq(self, a: str, b: str) -> bool:
         return self.meet(a, b) == a
 
     def relative_complement(self, a: str, b: str) -> str:
         """The unique x with x ∨ a = b and x ∧ a = 0, for a ≤ b (i.e. b ∖ a)."""
-        ia, ib = self.index(a), self.index(b)
-        if self._meet[ia][ib] != ia:
+        ma, mb = self._masks[self.index(a)], self._masks[self.index(b)]
+        if ma & ~mb:
             raise ValidationError(
                 f"relative complement requires {a} ≤ {b}")
-        return self.elements[self._complements[(ia, ib)]]
+        return self._mask_names[mb & ~ma]
 
     def complement(self, a: str) -> str:
         """Complement relative to the derived top: top ∖ a."""
@@ -354,16 +387,17 @@ def is_ideal(algebra, members: Iterable[str]) -> IdealCheck:
         base.index(x)
     if not members:
         return IdealCheck(False, "empty")
-    for b in base.elements:
+    masked = list(zip(base.elements, base._masks))
+    for b, mb in masked:
         if b not in members:
             continue
-        for a in base.elements:
-            if base.leq(a, b) and a not in members:
+        for a, ma in masked:
+            if not ma & ~mb and a not in members:
                 return IdealCheck(False, "downward", (a, b))
-    ordered = [e for e in base.elements if e in members]
-    for a in ordered:
-        for b in ordered:
-            if base.join(a, b) not in members:
+    ordered = [(e, m) for e, m in masked if e in members]
+    for a, ma in ordered:
+        for b, mb in ordered:
+            if base._mask_names[ma | mb] not in members:
                 return IdealCheck(False, "join", (a, b))
     return IdealCheck(True)
 
@@ -371,7 +405,7 @@ def is_ideal(algebra, members: Iterable[str]) -> IdealCheck:
 class IdealView(FiniteGenBoolAlg):
     """An ideal of a generalized Boolean algebra, used as a codomain view.
 
-    The view is the parent's tables restricted to its members.  An ideal
+    The view is the parent's members with their atom masks.  An ideal
     is closed under meet, join and relative complement, so the restriction
     is an algebra without revalidation; construction checks only the
     ideal axioms.  Its derived top is the join of the members, so a view
@@ -395,17 +429,15 @@ class IdealView(FiniteGenBoolAlg):
                 f"not closed under join: ({a}, {b}) joins outside the set")
         self.parent = base
         keep = [i for i, e in enumerate(base.elements) if e in members]
-        pos = {p: i for i, p in enumerate(keep)}
         self.elements = tuple(base.elements[p] for p in keep)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.zero = base.zero
-        self._meet, self._join = (
-            tuple(tuple(pos[table[a][b]] for b in keep) for a in keep)
-            for table in (base._meet, base._join))
-        self._complements = {
-            (pos[a], pos[b]): pos[x] for (a, b), x in base._complements.items()
-            if a in pos and b in pos}
-        self.top = base.join_all(self.elements)
+        self._masks = tuple(base._masks[p] for p in keep)
+        self._mask_names = base._mask_names
+        self._unit = 0
+        for mask in self._masks:
+            self._unit |= mask
+        self.top = base._mask_names[self._unit]
 
     @property
     def base(self) -> FiniteGenBoolAlg:
@@ -437,6 +469,6 @@ def ideal_generated_by(algebra, generators: Iterable[str]) -> IdealView:
 def principal_ideal(algebra, e: str) -> IdealView:
     """The ideal of everything below e; its derived top is e."""
     base = algebra.base
-    base.index(e)
-    members = [a for a in base.elements if base.leq(a, e)]
+    me = base._masks[base.index(e)]
+    members = [a for a, m in zip(base.elements, base._masks) if not m & ~me]
     return IdealView(base, members)

@@ -15,7 +15,12 @@ in that order.
 Cover-to-join, the tight scan and its oracle forms are one scan over
 different tight instances (above-set, disjointness set, constrained set,
 covers).  Instances depend on the semilattice alone, so each is computed
-once per semilattice; only prescribed values and joins are per map.
+once per semilattice, from per-element bitsets over the domain, and
+carries its index form next to its names.  Only prescribed values and
+cover joins are per map, and they run on positions and the codomain's
+atom masks: the prescribed value is `unit & img[x] & ~img[y]...`, a cover
+join the OR of its images.  Element names stay at the edges: arguments,
+witnesses and the name-level API.
 """
 
 from __future__ import annotations
@@ -102,7 +107,8 @@ class Representation:
     """A validated map from a finite meet-semilattice into an algebra view.
 
     Checks totality, that every value lies in the codomain view, that zero
-    maps to zero, and that meets are preserved pairwise.
+    maps to zero, and that meets are preserved pairwise.  `_images` holds
+    the images' atom masks by domain position.
     """
 
     def __init__(self, domain: FiniteMeetSemilattice, codomain,
@@ -121,11 +127,15 @@ class Representation:
                     f"image of '{x}' lies outside the codomain view")
         if mapping[domain.zero] != codomain.zero:
             raise ValidationError("zero not preserved")
-        for x in domain.elements:
-            for y in domain.elements:
-                if mapping[domain.meet(x, y)] != codomain.meet(mapping[x], mapping[y]):
-                    raise ValidationError(f"meet not preserved at ({x}, {y})")
+        masks, index, els = codomain._masks, codomain._index, domain.elements
+        img = tuple(masks[index[mapping[x]]] for x in els)
+        for i, row in enumerate(domain._meet):
+            for j, k in enumerate(row):
+                if img[k] != img[i] & img[j]:
+                    raise ValidationError(
+                        f"meet not preserved at ({els[i]}, {els[j]})")
         self.mapping = dict(mapping)
+        self._images = img
 
     def __repr__(self):
         pairs = ", ".join(f"{x}->{self.mapping[x]}" for x in self.domain.elements)
@@ -141,7 +151,7 @@ class Representation:
         return self.codomain.base.sort(self.mapping.values())
 
     def is_zero_range(self) -> bool:
-        return set(self.mapping.values()) == {self.codomain.zero}
+        return not any(self._images)
 
     def with_codomain(self, view) -> "Representation":
         return Representation(self.domain, view, self.mapping)
@@ -153,18 +163,33 @@ def _graded_subsets(items: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
         yield from combinations(items, r)
 
 
+def _bitsets(semilattice):
+    """Per element, as bitsets over positions: its down-set, and the
+    elements whose meet with it is zero.  Kept in the memo."""
+    plans = _MEMO.setdefault(semilattice, {})
+    if "bitsets" not in plans:
+        m, z = semilattice._meet, semilattice.index(semilattice.zero)
+        down = tuple(sum(1 << j for j, v in enumerate(row) if v == j)
+                     for row in m)
+        zero_meet = tuple(sum(1 << j for j, v in enumerate(row) if v == z)
+                          for row in m)
+        plans.setdefault("bitsets", (down, zero_meet))
+    return plans["bitsets"]
+
+
 def constrained_interval(semilattice: FiniteMeetSemilattice,
                          above: Iterable[str],
                          disjoint: Iterable[str]) -> tuple[str, ...]:
     """Elements below everything in `above` and meet-zero with everything
     in `disjoint`, in declared order."""
     E = semilattice
-    above = [E.elements[E.index(x)] for x in above]
-    disjoint = [E.elements[E.index(y)] for y in disjoint]
-    return tuple(
-        z for z in E.elements
-        if all(E.leq(z, x) for x in above)
-        and all(E.meet(z, y) == E.zero for y in disjoint))
+    down, zero_meet = _bitsets(E)
+    members = (1 << len(E.elements)) - 1
+    for x in above:
+        members &= down[E.index(x)]
+    for y in disjoint:
+        members &= zero_meet[E.index(y)]
+    return tuple(z for i, z in enumerate(E.elements) if members >> i & 1)
 
 
 def is_cover(semilattice: FiniteMeetSemilattice,
@@ -198,11 +223,17 @@ def _covers(semilattice, family, minimal_only=True):
     are the binding instances for the tight and cover-to-join checks.
     """
     E = semilattice
+    _, zero_meet = _bitsets(E)
     nonzero = tuple(x for x in E.sort(family) if x != E.zero)
+    need = sum(1 << E.index(x) for x in nonzero)
+    # the members of the family each candidate meets nontrivially
+    hits = {z: need & ~zero_meet[E.index(z)] for z in nonzero}
 
     def covered(zs):
-        return all(
-            any(E.meet(x, z) != E.zero for z in zs) for x in nonzero)
+        got = 0
+        for z in zs:
+            got |= hits[z]
+        return got == need
 
     for zs in _graded_subsets(nonzero):
         if not covered(zs):
@@ -222,10 +253,11 @@ def covers_of(semilattice: FiniteMeetSemilattice,
 def antichains(semilattice: FiniteMeetSemilattice) -> Iterator[tuple[str, ...]]:
     """Subsets with pairwise incomparable elements, graded-lex ordered."""
     E = semilattice
-    for ys in _graded_subsets(E.elements):
-        if all(not E.leq(a, b) and not E.leq(b, a)
-               for a, b in combinations(ys, 2)):
-            yield ys
+    down, _ = _bitsets(E)
+    for ps in _graded_subsets(range(len(E.elements))):
+        if all(not (down[b] >> a | down[a] >> b) & 1
+               for a, b in combinations(ps, 2)):
+            yield tuple(E.elements[p] for p in ps)
 
 
 def is_cover_to_join(rep: Representation, *, minimal_only: bool = True) -> Verdict:
@@ -236,7 +268,7 @@ def is_cover_to_join(rep: Representation, *, minimal_only: bool = True) -> Verdi
     Scans minimal covers (all covers with minimal_only=False).
     """
     instances = _instances(rep.domain, "cover-to-join", minimal_only)
-    w = next(_violations(rep, rep.codomain, instances), None)
+    w = next(_violations(rep.codomain, rep._images, instances), None)
     if w is None:
         return Verdict(True)
     return Verdict(False, CoverToJoinWitness(w.above[0], w.cover))
@@ -261,34 +293,58 @@ def is_tight(rep: Representation, view=None, *,
     if view is None:
         view = rep.codomain
     E = rep.domain
-    for x in E.elements:
-        if rep.image(x) not in view:
-            raise ValidationError(
-                f"representation range not contained in the view "
-                f"(image of '{x}')")
     instances = _instances(E, "reduced" if reduced else "all", minimal_only)
-    w = next(_violations(rep, view, instances), None)
+    w = next(_violations(view, _images_in(rep, view), instances), None)
     return Verdict(True) if w is None else Verdict(False, w)
 
 
+def _images_in(rep, view):
+    """The images' atom masks in `view`, once the range is known to lie in it.
+
+    A view over the codomain's own base shares its masks and holds exactly
+    the masks below its unit; any other view is asked by name.
+    """
+    E = rep.domain
+    same_base = view.base is rep.codomain.base
+    for x, mask in zip(E.elements, rep._images):
+        if mask & ~view._unit if same_base else rep.image(x) not in view:
+            raise ValidationError(
+                f"representation range not contained in the view "
+                f"(image of '{x}')")
+    if same_base:
+        return rep._images
+    return tuple(view._masks[view.index(rep.image(x))] for x in E.elements)
+
+
 # semilattice -> {(kind, minimal_only): ({position: instance}, aboves,
-#   disjoints), ("covers", minimal_only): {family: covers}}; names only.
+#   disjoints), (kind, minimal_only, "done"): instances, ("covers",
+#   minimal_only): {family: (covers, positions)}, "bitsets": (down-sets,
+#   meet-zero sets)}.
 _MEMO = weakref.WeakKeyDictionary()
 
 
 def _instances(semilattice, kind, minimal_only=True):
     """The tight instances of one scan kind, above-sets outermost.
 
-    Yields (above, disjoint, constrained set, covers) in graded-lex
-    order.  "cover-to-join": each singleton above, nothing disjoint.
-    "reduced": the empty set and the singletons above, antichains
-    disjoint.  "all": every subset for both (the oracle).  Covers are
-    the inclusion-minimal ones, or all of them without minimal_only.
-    Each instance is built when first reached and kept (equal constrained
-    sets share covers); memo updates are single idempotent dict calls.
+    Gives (above, disjoint, constrained set, covers, index form) in
+    graded-lex order; the index form holds the positions of the above-set,
+    the disjointness set and the constrained set, and each cover's.
+    "cover-to-join": each singleton above, nothing disjoint.  "reduced":
+    the empty set and the singletons above, antichains disjoint.  "all":
+    every subset for both (the oracle).  Covers are the inclusion-minimal
+    ones, or all of them without minimal_only.  Each instance is built
+    when a scan first reaches it and kept (equal constrained sets share
+    covers); once a scan has passed the last one, later scans read the
+    finished tuple.  Memo updates are single idempotent dict calls.
     """
-    E = semilattice
-    plans = _MEMO.setdefault(E, {})
+    plans = _MEMO.setdefault(semilattice, {})
+    done = plans.get((kind, minimal_only, "done"))
+    if done is not None:
+        return done
+    return _build_instances(semilattice, plans, kind, minimal_only)
+
+
+def _build_instances(E, plans, kind, minimal_only):
     if (kind, minimal_only) not in plans:
         if kind == "cover-to-join":
             aboves, disjoints = [(x,) for x in E.elements], [()]
@@ -300,30 +356,50 @@ def _instances(semilattice, kind, minimal_only=True):
         plans.setdefault((kind, minimal_only), ({}, aboves, disjoints))
     built, aboves, disjoints = plans[kind, minimal_only]
     known = plans.setdefault(("covers", minimal_only), {})
+    pos = E._index
     for i, (above, disjoint) in enumerate(product(aboves, disjoints)):
         if i not in built:
             family = constrained_interval(E, above, disjoint)
             if family not in known:
-                known[family] = tuple(_covers(E, family, minimal_only))
-            built.setdefault(i, (above, disjoint, family, known[family]))
+                covers = tuple(_covers(E, family, minimal_only))
+                known[family] = covers, tuple(
+                    tuple(pos[z] for z in zs) for zs in covers)
+            covers, cover_pos = known[family]
+            index_form = (tuple(pos[x] for x in above),
+                          tuple(pos[y] for y in disjoint),
+                          tuple(pos[z] for z in family), cover_pos)
+            built.setdefault(i, (above, disjoint, family, covers, index_form))
         yield built[i]
+    plans.setdefault((kind, minimal_only, "done"), tuple(
+        built[i] for i in range(len(aboves) * len(disjoints))))
 
 
-def _prescribed_value(rep, view, above, disjoint):
-    """Meet in `view` of the images of `above` and of `disjoint`'s complements."""
-    terms = [rep.image(x) for x in above]
-    terms += [view.complement(rep.image(y)) for y in disjoint]
-    return view.meet_all(terms)
+def _prescribed_mask(img, unit, above, disjoint):
+    """The images of `above` and the complements in `unit` of the images
+    of `disjoint`, all met: `unit & img[x]... & ~img[y]...` (positions)."""
+    rhs = unit
+    for x in above:
+        rhs &= img[x]
+    for y in disjoint:
+        rhs &= ~img[y]
+    return rhs
 
 
-def _violations(rep, view, instances):
-    """Each cover whose image join misses the prescribed value, in scan order."""
-    for above, disjoint, _, covers in instances:
-        rhs = _prescribed_value(rep, view, above, disjoint)
-        for zs in covers:
-            lhs = view.join_all(rep.image(z) for z in zs)
+def _violations(view, img, instances):
+    """Each cover whose image join misses the prescribed value, in scan order.
+
+    `img` holds the images' atom masks in `view` by domain position.
+    """
+    unit, names = view._unit, view._mask_names
+    for above, disjoint, _, covers, (xs, ys, _, cover_pos) in instances:
+        rhs = _prescribed_mask(img, unit, xs, ys)
+        for k, zs in enumerate(cover_pos):
+            lhs = 0
+            for z in zs:
+                lhs |= img[z]
             if lhs != rhs:
-                yield TightWitness(above, disjoint, zs, lhs, rhs)
+                yield TightWitness(above, disjoint, covers[k],
+                                   names[lhs], names[rhs])
 
 
 def is_nondegenerate(rep: Representation) -> Verdict:
@@ -332,9 +408,11 @@ def is_nondegenerate(rep: Representation) -> Verdict:
     Fails with the first view element not below the join of the range.
     """
     view = rep.codomain
-    bound = view.join_all(rep.image(x) for x in rep.domain.elements)
-    for a in view.elements:
-        if not view.leq(a, bound):
+    bound = 0
+    for mask in rep._images:
+        bound |= mask
+    for a, mask in zip(view.elements, view._masks):
+        if mask & ~bound:
             return Verdict(False, a)
     return Verdict(True)
 
@@ -360,9 +438,11 @@ def tighten(rep: Representation) -> Tightening:
     verdict = is_cover_to_join(rep)
     if not verdict.ok:
         raise NotCoverToJoinError(verdict.witness)
-    E, view = rep.domain, rep.codomain
-    unit = view.join_all(
-        rep.image(z) for z in E.elements if z != E.zero)
+    view = rep.codomain
+    unit = 0
+    for mask in rep._images:     # zero's image adds nothing
+        unit |= mask
+    unit = view._mask_names[unit]
     corner = principal_ideal(view.base, unit)
     return Tightening(unit=unit, codomain=corner,
                       representation=rep.with_codomain(corner))

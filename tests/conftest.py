@@ -121,6 +121,26 @@ def make_z2_with_zero():
          ["0", "g", "e"]])
 
 
+def make_i3():
+    """The symmetric inverse monoid on {1, 2, 3}; zero is the empty map.
+
+    A partial injection f is the tuple (f(1), f(2), f(3)) with 0 where f
+    is undefined, named "m" followed by its digits; products compose
+    right to left.
+    """
+    maps = [f for f in product(range(4), repeat=3)
+            if len([v for v in f if v]) == len({v for v in f if v})]
+
+    def name(f):
+        return "m" + "".join(map(str, f))
+
+    def compose(f, g):
+        return tuple(f[v - 1] if v else 0 for v in g)
+    names = [name(f) for f in maps]
+    rows = [[name(compose(f, g)) for g in maps] for f in maps]
+    return FiniteInverseSemigroup(names, name((0, 0, 0)), rows)
+
+
 def semigroup_from_semilattice(sl):
     """A meet-semilattice as a commutative idempotent inverse semigroup."""
     rows = [[sl.meet(a, b) for b in sl.elements] for a in sl.elements]

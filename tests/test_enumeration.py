@@ -17,6 +17,7 @@ from tightrep import (
     is_cover_to_join,
     is_tight,
     powerset_algebra,
+    principal_ideal,
     search_gap,
     verify_theorems,
 )
@@ -188,6 +189,42 @@ def test_representation_stream_is_deterministic():
     second = [rep.mapping for rep in enumerate_representations(chain2, p2)]
     assert first == second
     assert [m["1"] for m in first] == ["0", "1", "2", "12"]
+
+
+def brute_representation_maps(E, B):
+    """Every zero-preserving map that preserves meets by name, in the
+    product order over the codomain's declared order."""
+    nonzero = [x for x in E.elements if x != E.zero]
+    found = []
+    for images in product(B.elements, repeat=len(nonzero)):
+        mapping = dict(zip(nonzero, images))
+        mapping[E.zero] = B.zero
+        if all(mapping[E.meet(x, y)] == B.meet(mapping[x], mapping[y])
+               for x in nonzero for y in nonzero):
+            found.append(list(mapping.items()))
+    return found
+
+
+def reversed_declaration(E):
+    """The same semilattice with its elements declared in reverse order."""
+    els = E.elements[::-1]
+    return FiniteMeetSemilattice(
+        els, E.zero, [[E.meet(a, b) for b in els] for a in els])
+
+
+def test_representation_stream_matches_brute_oracle():
+    # the pruned depth-first search yields exactly the filtered product,
+    # in its order, also with the zero declared last
+    p3 = powerset_algebra(3)
+    codomains = [powerset_algebra(k) for k in range(4)]
+    codomains += [principal_ideal(p3, e) for e in p3.elements]
+    for n in range(1, 5):
+        for E in enumerate_semilattices(n):
+            for D in (E, reversed_declaration(E)):
+                for B in codomains:
+                    got = [list(rep.mapping.items())
+                           for rep in enumerate_representations(D, B)]
+                    assert got == brute_representation_maps(D, B)
 
 
 # -- gap search ------------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from tightrep import (
     is_generalized_boolean_inverse_semigroup,
     powerset_algebra,
     principal_ideal,
+    representations,
     tighten_homomorphism,
 )
 
@@ -291,6 +292,27 @@ def test_corner_structure_invariants():
     assert set(corner.idempotent_elements) == set(ideal.elements)
     assert set(hom.mapping.values()) <= set(corner.elements)
     assert T is corner
+
+
+def test_restrictions_share_one_semilattice_and_its_instances(monkeypatch, i2):
+    real = representations.constrained_interval
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(representations, "constrained_interval", counting)
+    hom = ISHomomorphism(i2, i2, {s: s for s in i2.elements})
+    E = hom.restriction().domain
+    assert hom.restriction().domain is E
+    check_homomorphism_tightness(hom)
+    assert calls
+    built = len(calls)
+    corestricted = tighten_homomorphism(hom).homomorphism
+    assert corestricted.restriction().domain is E
+    check_homomorphism_tightness(hom)
+    check_homomorphism_tightness(corestricted)
+    assert len(calls) == built
 
 
 def all_test_semigroups():

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightrep import (
+    FiniteGenBoolAlg,
     FiniteMeetSemilattice,
     NotCoverToJoinError,
     Representation,
@@ -20,6 +22,7 @@ from tightrep import (
     ideal_generated_by,
     is_cover,
     is_cover_to_join,
+    is_generalized_boolean_inverse_semigroup,
     is_ideal,
     is_nondegenerate,
     is_tight,
@@ -36,8 +39,10 @@ from conftest import (
     brute_cover_to_join,
     brute_tight,
     make_diamond,
+    make_i3,
     subsets_of,
 )
+from tightrep.representations import TightWitness
 
 
 def counterexample_rep(chain2, p2):
@@ -418,6 +423,72 @@ def test_scans_agree_with_brute_force_oracles_on_drawn_views(data):
         brute_cover_to_join(rep)
     assert is_tight(rep).ok == expected
     assert is_tight(rep, reduced=False, minimal_only=False).ok == expected
+
+
+# -- the mask kernel does not depend on names or atom order ----------------------
+
+def relabeled_p3():
+    """P(3) renamed e0..e7 and declared in name order, so that neither the
+    zero comes first nor the atoms' bits follow P(3)'s, nor the names."""
+    p3 = powerset_algebra(3)
+    labels = dict(zip(p3.elements,
+                      ("e3", "e6", "e0", "e5", "e2", "e7", "e4", "e1")))
+    back = {v: k for k, v in labels.items()}
+    els = sorted(back)
+    meet = [[labels[p3.meet(back[a], back[b])] for b in els] for a in els]
+    join = [[labels[p3.join(back[a], back[b])] for b in els] for a in els]
+    return FiniteGenBoolAlg(els, labels["0"], meet, join), labels
+
+
+def i3_idempotent_algebra():
+    """The idempotents of I3 with the least-upper-bound join; the subset s
+    of P(3) is the partial identity on s."""
+    algebra = is_generalized_boolean_inverse_semigroup(make_i3()).algebra
+    labels = {e: "m" + "".join(d if d in e else "0" for d in "123")
+              for e in powerset_algebra(3).elements}
+    return algebra, labels
+
+
+def all_scans(rep):
+    """Both cover-to-join scans, then the four tight scans."""
+    return [is_cover_to_join(rep), is_cover_to_join(rep, minimal_only=False)] + [
+        is_tight(rep, reduced=reduced, minimal_only=minimal_only)
+        for reduced in (True, False) for minimal_only in (True, False)]
+
+
+def relabeled_verdict(verdict, labels):
+    w = verdict.witness
+    if isinstance(w, TightWitness):
+        w = replace(w, lhs=labels[w.lhs], rhs=labels[w.rhs])
+    return type(verdict)(verdict.ok, w)
+
+
+@pytest.mark.parametrize("target", [relabeled_p3, i3_idempotent_algebra])
+def test_mask_kernel_follows_a_relabeling_of_the_codomain(target):
+    # every scan on the relabeled codomain agrees with the name-level
+    # oracles, and its witnesses are P(3)'s with lhs and rhs relabeled;
+    # labeled domains up to size 3, one per isomorphism class at size 4
+    p3 = powerset_algebra(3)
+    Q, labels = target()
+    assert Q._masks[Q.index(labels["1"])] != p3._masks[p3.index("1")]
+    views = [(p3, Q),
+             (principal_ideal(p3, "12"), principal_ideal(Q, labels["12"]))]
+    for n in range(1, 5):
+        for E in enumerate_semilattices(n, up_to_iso=n == 4):
+            for p_view, q_view in views:
+                for rep in enumerate_representations(E, p_view):
+                    q = Representation(
+                        E, q_view, {x: labels[v] for x, v in rep.mapping.items()})
+                    pairs = [(rep, q)]
+                    if is_cover_to_join(rep).ok:
+                        pairs.append((tighten(rep).representation,
+                                      tighten(q).representation))
+                    for a, b in pairs:
+                        got = all_scans(b)
+                        assert got == [relabeled_verdict(v, labels)
+                                       for v in all_scans(a)]
+                        ctj, tight = brute_cover_to_join(b), brute_tight(b)
+                        assert [v.ok for v in got] == [ctj] * 2 + [tight] * 4
 
 
 # -- non-degeneracy ------------------------------------------------------------------
