@@ -157,7 +157,7 @@ class Representation:
         return Representation(self.domain, view, self.mapping)
 
 
-def _graded_subsets(items: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+def _graded_subsets(items) -> Iterator[tuple]:
     """All subsets, by size then lexicographically in the given order."""
     for r in range(len(items) + 1):
         yield from combinations(items, r)
@@ -299,7 +299,7 @@ def is_tight(rep: Representation, view=None, *,
 
 
 def _images_in(rep, view):
-    """The images' atom masks in `view`, once the range is known to lie in it.
+    """The images' atom masks in `view`; the range must lie in the view.
 
     A view over the codomain's own base shares its masks and holds exactly
     the masks below its unit; any other view is asked by name.

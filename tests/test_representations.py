@@ -428,8 +428,8 @@ def test_scans_agree_with_brute_force_oracles_on_drawn_views(data):
 # -- the mask kernel does not depend on names or atom order ----------------------
 
 def relabeled_p3():
-    """P(3) renamed e0..e7 and declared in name order, so that neither the
-    zero comes first nor the atoms' bits follow P(3)'s, nor the names."""
+    """P(3) renamed e0..e7 and declared in name order: the zero is not
+    first, and the atoms' bits follow neither P(3)'s nor the names."""
     p3 = powerset_algebra(3)
     labels = dict(zip(p3.elements,
                       ("e3", "e6", "e0", "e5", "e2", "e7", "e4", "e1")))
