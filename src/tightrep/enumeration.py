@@ -22,6 +22,7 @@ from .lattices import (
     FiniteMeetSemilattice,
     ValidationError,
     _associativity_violation,
+    _join_mask,
     is_ideal,
 )
 from .representations import (
@@ -339,9 +340,9 @@ def _check_representation(rep, summary):
                "tightening corner misses part of the range")
         record(is_tight(rep, t.codomain).ok,
                "not tight in the tightening corner")
-        full_join = _join_mask(img, range(len(img)))
+        full_join = _join_mask(img)
         record(all(
-            _join_mask(img, map(E.index, zs)) == full_join
+            _join_mask(img[E.index(z)] for z in zs) == full_join
             for zs in covers_of(E, E.elements)),
             "tightening unit depends on the cover choice")
         # every instance with a nonempty above-set already holds
@@ -354,16 +355,8 @@ def _check_representation(rep, summary):
     # the prescribed value always dominates the members and their joins
     for *_, (xs, ys, family, _) in _instances(E, "reduced"):
         rhs = _prescribed_mask(img, B._unit, xs, ys)
-        record(not _join_mask(img, family) & ~rhs,
+        record(not _join_mask(img[p] for p in family) & ~rhs,
                "member image escapes the prescribed value")
-
-
-def _join_mask(img, positions):
-    """The OR of the image masks at the given domain positions."""
-    acc = 0
-    for p in positions:
-        acc |= img[p]
-    return acc
 
 
 def _check_semilattice(E, summary):

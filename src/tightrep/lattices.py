@@ -76,6 +76,14 @@ def _associativity_violation(table):
     return None
 
 
+def _join_mask(masks) -> int:
+    """The join of atom masks: their OR (the empty join is zero)."""
+    acc = 0
+    for mask in masks:
+        acc |= mask
+    return acc
+
+
 class _TableStructure:
     """Reading, `sort` and the cold dunders shared by the table-defined
     structures.
@@ -434,9 +442,7 @@ class IdealView(FiniteGenBoolAlg):
         self.zero = base.zero
         self._masks = tuple(base._masks[p] for p in keep)
         self._mask_names = base._mask_names
-        self._unit = 0
-        for mask in self._masks:
-            self._unit |= mask
+        self._unit = _join_mask(self._masks)
         self.top = base._mask_names[self._unit]
 
     @property

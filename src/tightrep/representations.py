@@ -34,6 +34,7 @@ from .lattices import (
     FiniteMeetSemilattice,
     IdealView,
     ValidationError,
+    _join_mask,
     ideal_generated_by,
     principal_ideal,
 )
@@ -299,21 +300,16 @@ def is_tight(rep: Representation, view=None, *,
 
 
 def _images_in(rep, view):
-    """The images' atom masks in `view`; the range must lie in the view.
-
-    A view over the codomain's own base shares its masks and holds exactly
-    the masks below its unit; any other view is asked by name.
-    """
-    E = rep.domain
-    same_base = view.base is rep.codomain.base
-    for x, mask in zip(E.elements, rep._images):
-        if mask & ~view._unit if same_base else rep.image(x) not in view:
+    """The images' atom masks in `view`; the range must lie in the view."""
+    images = []
+    for x in rep.domain.elements:
+        y = rep.image(x)
+        if y not in view:
             raise ValidationError(
                 f"representation range not contained in the view "
                 f"(image of '{x}')")
-    if same_base:
-        return rep._images
-    return tuple(view._masks[view.index(rep.image(x))] for x in E.elements)
+        images.append(view._masks[view._index[y]])
+    return tuple(images)
 
 
 # semilattice -> {(kind, minimal_only): ({position: instance}, aboves,
@@ -394,6 +390,8 @@ def _violations(view, img, instances):
     for above, disjoint, _, covers, (xs, ys, _, cover_pos) in instances:
         rhs = _prescribed_mask(img, unit, xs, ys)
         for k, zs in enumerate(cover_pos):
+            # _join_mask inlined: through a generator this loop made
+            # `verify --max-e 5 --atoms 3 --up-to-iso` about 25% slower
             lhs = 0
             for z in zs:
                 lhs |= img[z]
@@ -408,9 +406,7 @@ def is_nondegenerate(rep: Representation) -> Verdict:
     Fails with the first view element not below the join of the range.
     """
     view = rep.codomain
-    bound = 0
-    for mask in rep._images:
-        bound |= mask
+    bound = _join_mask(rep._images)
     for a, mask in zip(view.elements, view._masks):
         if mask & ~bound:
             return Verdict(False, a)
@@ -439,10 +435,7 @@ def tighten(rep: Representation) -> Tightening:
     if not verdict.ok:
         raise NotCoverToJoinError(verdict.witness)
     view = rep.codomain
-    unit = 0
-    for mask in rep._images:     # zero's image adds nothing
-        unit |= mask
-    unit = view._mask_names[unit]
+    unit = view._mask_names[_join_mask(rep._images)]
     corner = principal_ideal(view.base, unit)
     return Tightening(unit=unit, codomain=corner,
                       representation=rep.with_codomain(corner))

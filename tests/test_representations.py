@@ -188,6 +188,31 @@ def test_tight_view_must_contain_the_range(chain2, p2):
         is_tight(rep, principal_ideal(p2, "1"))
 
 
+def test_tight_against_an_equal_algebra_built_separately(p2):
+    # a view over another base object reads the images by name: a second
+    # P(2), and P(2) declared with "2" before "1" so the atom bits swap
+    order = ("0", "2", "1", "12")
+    swapped = FiniteGenBoolAlg(
+        order, "0", [[p2.meet(a, b) for b in order] for a in order],
+        [[p2.join(a, b) for b in order] for a in order])
+    assert swapped._masks[swapped.index("1")] != p2._masks[p2.index("1")]
+    for other in (powerset_algebra(2), swapped):
+        corner = principal_ideal(other, "1")
+        for rep in small_universe(3, p2):
+            assert is_tight(rep, other) == is_tight(rep)
+            for minimal_only in (True, False):
+                assert is_tight(rep, other, reduced=False,
+                                minimal_only=minimal_only) == is_tight(
+                    rep, reduced=False, minimal_only=minimal_only)
+            if all(v in corner for v in rep.mapping.values()):
+                assert is_tight(rep, corner) == is_tight(
+                    rep, principal_ideal(p2, "1"))
+            else:
+                with pytest.raises(ValidationError,
+                                   match="not contained in the view"):
+                    is_tight(rep, corner)
+
+
 def small_universe(max_size, algebra):
     for n in range(1, max_size + 1):
         for E in enumerate_semilattices(n):
