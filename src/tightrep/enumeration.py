@@ -28,18 +28,17 @@ from .lattices import (
 from .representations import (
     Representation,
     TightnessReport,
-    _bitsets,
+    _constrained,
     _instances,
     _prescribed_mask,
     _violations,
-    constrained_interval,
-    covers_of,
     is_cover_to_join,
     is_nondegenerate,
     is_tight,
     tighten,
 )
 
+MAX_ATOMS = 8   # P(k) has 4^k-entry tables: validating P(8) takes seconds
 
 @dataclass(frozen=True)
 class UniverseSpec:
@@ -59,6 +58,8 @@ class UniverseSpec:
             raise ValidationError("atom counts must be nonempty")
         if any(k < 0 for k in self.atom_counts):
             raise ValidationError("atom counts must be nonnegative")
+        if any(k > MAX_ATOMS for k in self.atom_counts):
+            raise ValidationError(f"atom counts must be at most {MAX_ATOMS}")
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,8 @@ def powerset_algebra(atoms: int) -> FiniteGenBoolAlg:
     """
     if atoms < 0:
         raise ValidationError("atom count must be nonnegative")
+    if atoms > MAX_ATOMS:
+        raise ValidationError(f"atom count must be at most {MAX_ATOMS}")
     subsets = []
     for r in range(atoms + 1):
         subsets.extend(combinations(range(1, atoms + 1), r))
@@ -319,6 +322,7 @@ def _check_representation(rep, summary):
 
     ctj = is_cover_to_join(rep)
     tight = is_tight(rep)
+    reduced = list(_instances(E, "reduced"))
     record(ctj.ok == is_cover_to_join(rep, minimal_only=False).ok,
            "cover-to-join verdict differs over all covers")
     record(tight.ok == is_tight(rep, minimal_only=False).ok,
@@ -340,42 +344,39 @@ def _check_representation(rep, summary):
                "tightening corner misses part of the range")
         record(is_tight(rep, t.codomain).ok,
                "not tight in the tightening corner")
+        # the first reduced instance, nothing above and nothing disjoint,
+        # holds the minimal covers of the whole domain
         full_join = _join_mask(img)
-        record(all(
-            _join_mask(img[E.index(z)] for z in zs) == full_join
-            for zs in covers_of(E, E.elements)),
-            "tightening unit depends on the cover choice")
+        record(all(_join_mask(img[z] for z in zs) == full_join
+                   for zs in reduced[0][3]),
+               "tightening unit depends on the cover choice")
         # every instance with a nonempty above-set already holds
-        nonempty = [inst for inst in _instances(E, "reduced") if inst[0]]
+        nonempty = [inst for inst in reduced if inst[0]]
         summary.checks += sum(len(inst[3]) for inst in nonempty)
-        for w in _violations(B, img, nonempty):
+        for w in _violations(E, B, img, nonempty):
             summary.violations.append(
                 f"{label}: cover-to-join but instance above {w.above[0]} fails")
 
     # the prescribed value always dominates the members and their joins
-    for *_, (xs, ys, family, _) in _instances(E, "reduced"):
+    for xs, ys, family, _ in reduced:
         rhs = _prescribed_mask(img, B._unit, xs, ys)
-        record(not _join_mask(img[p] for p in family) & ~rhs,
-               "member image escapes the prescribed value")
+        record(not _join_mask(m for p, m in enumerate(img) if family >> p & 1)
+               & ~rhs, "member image escapes the prescribed value")
 
 
 def _check_semilattice(E, summary):
     """Constrained-set reduction laws, exhaustively over subset pairs."""
-    els, meet = E.elements, E._meet
-    down, _ = _bitsets(E)
-    for above, disjoint, full, _, (xs, ys, _, _) in _instances(
-            E, "all", minimal_only=False):
+    els, meet, down = E.elements, E._meet, E._down
+    for xs, ys, full, _ in _instances(E, "all", minimal_only=False):
         summary.checks += 1
-        reduced_above = ()
-        if xs:
-            bound = xs[0]
-            for x in xs[1:]:
-                bound = meet[bound][x]
-            reduced_above = (els[bound],)
-        maximal = tuple(
-            els[y] for y in ys
-            if not any(y != w and down[w] >> y & 1 for w in ys))
-        if constrained_interval(E, reduced_above, maximal) != full:
+        bound = xs[:1]      # the meet of xs, as an above-set
+        for x in xs[1:]:
+            bound = (meet[bound[0]][x],)
+        # the elements strictly below some member of ys
+        below = _join_mask(down[w] & ~(1 << w) for w in ys)
+        maximal = [y for y in ys if not below >> y & 1]
+        if _constrained(E, bound, maximal) != full:
+            above, disjoint = (tuple(els[p] for p in ps) for ps in (xs, ys))
             summary.violations.append(
                 f"constrained-set reduction unsound at {above}, {disjoint}")
 

@@ -3,8 +3,10 @@
 Structures are explicit operation tables over opaque element names.
 Validation is eager: constructing a structure runs the exhaustive axiom
 check and raises ValidationError on the first violation, so every live
-instance is known-good.  Instances are immutable after construction and
-safe to share; all operations are pure.
+instance is known-good.  Tables never change after construction and all
+operations are pure.  A semilattice keeps bitsets over positions: the
+down-sets `_down` and the meet-zero sets `_zero_meet`; `_scans` gains its
+tight instances lazily, by idempotent `setdefault`s, so it is shareable.
 
 A finite generalized Boolean algebra is the powerset of its atoms.  The
 tables are read and validated as given; then each element gets its atom
@@ -134,6 +136,12 @@ class FiniteMeetSemilattice(_TableStructure):
                  meet: Sequence[Sequence[str]]):
         (self._meet,) = self._read(elements, zero, meet=meet)
         self._check_axioms()
+        z = self._index[zero]
+        self._down = tuple(sum(1 << j for j, v in enumerate(row) if v == j)
+                           for row in self._meet)
+        self._zero_meet = tuple(sum(1 << j for j, v in enumerate(row) if v == z)
+                                for row in self._meet)
+        self._scans = {}
 
     def _check_axioms(self):
         els, m = self.elements, self._meet

@@ -14,9 +14,9 @@ in that order.
 
 Cover-to-join, the tight scan and its oracle forms are one scan over
 different tight instances (above-set, disjointness set, constrained set,
-covers).  Instances depend on the semilattice alone, so each is computed
-once per semilattice, from per-element bitsets over the domain, and
-carries its index form next to its names.  Only prescribed values and
+covers).  Instances depend on the semilattice alone and hold domain
+positions only: each is built from the semilattice's bitsets when a scan
+first reaches it and kept on the semilattice.  Only prescribed values and
 cover joins are per map, and they run on positions and the codomain's
 atom masks: the prescribed value is `unit & img[x] & ~img[y]...`, a cover
 join the OR of its images.  Element names stay at the edges: arguments,
@@ -25,9 +25,8 @@ witnesses and the name-level API.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .lattices import (
@@ -164,18 +163,14 @@ def _graded_subsets(items) -> Iterator[tuple]:
         yield from combinations(items, r)
 
 
-def _bitsets(semilattice):
-    """Per element, as bitsets over positions: its down-set, and the
-    elements whose meet with it is zero.  Kept in the memo."""
-    plans = _MEMO.setdefault(semilattice, {})
-    if "bitsets" not in plans:
-        m, z = semilattice._meet, semilattice.index(semilattice.zero)
-        down = tuple(sum(1 << j for j, v in enumerate(row) if v == j)
-                     for row in m)
-        zero_meet = tuple(sum(1 << j for j, v in enumerate(row) if v == z)
-                          for row in m)
-        plans.setdefault("bitsets", (down, zero_meet))
-    return plans["bitsets"]
+def _constrained(semilattice, xs, ys):
+    """Bitset of the elements below all of `xs` and meeting `ys` in zero."""
+    members = (1 << len(semilattice.elements)) - 1
+    for x in xs:
+        members &= semilattice._down[x]
+    for y in ys:
+        members &= semilattice._zero_meet[y]
+    return members
 
 
 def constrained_interval(semilattice: FiniteMeetSemilattice,
@@ -184,12 +179,8 @@ def constrained_interval(semilattice: FiniteMeetSemilattice,
     """Elements below everything in `above` and meet-zero with everything
     in `disjoint`, in declared order."""
     E = semilattice
-    down, zero_meet = _bitsets(E)
-    members = (1 << len(E.elements)) - 1
-    for x in above:
-        members &= down[E.index(x)]
-    for y in disjoint:
-        members &= zero_meet[E.index(y)]
+    members = _constrained(E, [E.index(x) for x in above],
+                           [E.index(y) for y in disjoint])
     return tuple(z for i, z in enumerate(E.elements) if members >> i & 1)
 
 
@@ -205,36 +196,33 @@ def is_cover(semilattice: FiniteMeetSemilattice,
     for x in family_set:
         E.index(x)
     cover = E.sort(cover)
+    met = 0     # the elements some member of the cover meets nontrivially
     for z in cover:
         if z not in family_set:
             raise ValidationError(f"cover element '{z}' is not in the family")
-    for x in E.elements:
-        if x not in family_set or x == E.zero:
-            continue
-        if all(E.meet(x, z) == E.zero for z in cover):
+        met |= ~E._zero_meet[E._index[z]]
+    for i, x in enumerate(E.elements):
+        if x in family_set and x != E.zero and not met >> i & 1:
             return Verdict(False, x)
     return Verdict(True)
 
 
 def _covers(semilattice, family, minimal_only=True):
-    """Covers of `family` drawn from its nonzero part, graded-lex ordered.
+    """Covers of the bitset `family` drawn from its nonzero members, as
+    position tuples in graded-lex order.
 
     With minimal_only, only inclusion-minimal covers are produced; every
     finite cover contains one of these, and joins are monotone, so they
     are the binding instances for the tight and cover-to-join checks.
     """
     E = semilattice
-    _, zero_meet = _bitsets(E)
-    nonzero = tuple(x for x in E.sort(family) if x != E.zero)
-    need = sum(1 << E.index(x) for x in nonzero)
+    need = family & ~(1 << E._index[E.zero])
+    nonzero = tuple(p for p in range(len(E.elements)) if need >> p & 1)
     # the members of the family each candidate meets nontrivially
-    hits = {z: need & ~zero_meet[E.index(z)] for z in nonzero}
+    hits = [need & ~zero_meet for zero_meet in E._zero_meet]
 
     def covered(zs):
-        got = 0
-        for z in zs:
-            got |= hits[z]
-        return got == need
+        return _join_mask(hits[z] for z in zs) == need
 
     for zs in _graded_subsets(nonzero):
         if not covered(zs):
@@ -248,15 +236,17 @@ def _covers(semilattice, family, minimal_only=True):
 def covers_of(semilattice: FiniteMeetSemilattice,
               family: Iterable[str]) -> Iterator[tuple[str, ...]]:
     """The inclusion-minimal covers of `family`, deterministically ordered."""
-    return _covers(semilattice, family, minimal_only=True)
+    E = semilattice
+    members = sum(1 << E._index[x] for x in E.sort(family))
+    for zs in _covers(E, members):
+        yield tuple(E.elements[p] for p in zs)
 
 
 def antichains(semilattice: FiniteMeetSemilattice) -> Iterator[tuple[str, ...]]:
     """Subsets with pairwise incomparable elements, graded-lex ordered."""
     E = semilattice
-    down, _ = _bitsets(E)
     for ps in _graded_subsets(range(len(E.elements))):
-        if all(not (down[b] >> a | down[a] >> b) & 1
+        if all(not (E._down[b] >> a | E._down[a] >> b) & 1
                for a, b in combinations(ps, 2)):
             yield tuple(E.elements[p] for p in ps)
 
@@ -268,8 +258,9 @@ def is_cover_to_join(rep: Representation, *, minimal_only: bool = True) -> Verdi
     disjoint (constrained set ↓x, prescribed value the image of x).
     Scans minimal covers (all covers with minimal_only=False).
     """
-    instances = _instances(rep.domain, "cover-to-join", minimal_only)
-    w = next(_violations(rep.codomain, rep._images, instances), None)
+    E = rep.domain
+    instances = _instances(E, "cover-to-join", minimal_only)
+    w = next(_violations(E, rep.codomain, rep._images, instances), None)
     if w is None:
         return Verdict(True)
     return Verdict(False, CoverToJoinWitness(w.above[0], w.cover))
@@ -295,7 +286,7 @@ def is_tight(rep: Representation, view=None, *,
         view = rep.codomain
     E = rep.domain
     instances = _instances(E, "reduced" if reduced else "all", minimal_only)
-    w = next(_violations(view, _images_in(rep, view), instances), None)
+    w = next(_violations(E, view, _images_in(rep, view), instances), None)
     return Verdict(True) if w is None else Verdict(False, w)
 
 
@@ -312,62 +303,44 @@ def _images_in(rep, view):
     return tuple(images)
 
 
-# semilattice -> {(kind, minimal_only): ({position: instance}, aboves,
-#   disjoints), (kind, minimal_only, "done"): instances, ("covers",
-#   minimal_only): {family: (covers, positions)}, "bitsets": (down-sets,
-#   meet-zero sets)}.
-_MEMO = weakref.WeakKeyDictionary()
-
-
 def _instances(semilattice, kind, minimal_only=True):
     """The tight instances of one scan kind, above-sets outermost.
 
-    Gives (above, disjoint, constrained set, covers, index form) in
-    graded-lex order; the index form holds the positions of the above-set,
-    the disjointness set and the constrained set, and each cover's.
-    "cover-to-join": each singleton above, nothing disjoint.  "reduced":
-    the empty set and the singletons above, antichains disjoint.  "all":
-    every subset for both (the oracle).  Covers are the inclusion-minimal
-    ones, or all of them without minimal_only.  Each instance is built
-    when a scan first reaches it and kept (equal constrained sets share
-    covers); once a scan has passed the last one, later scans read the
-    finished tuple.  Memo updates are single idempotent dict calls.
+    Gives (above, disjoint, constrained set, covers) in graded-lex order,
+    by domain position: the constrained set is a bitset, the rest are
+    position tuples.  "cover-to-join": each singleton above, nothing
+    disjoint.  "reduced": the empty set and the singletons above,
+    antichains disjoint.  "all": every subset for both (the oracle).
+    Covers are the inclusion-minimal ones, or all without minimal_only.
+    Instances are built when a scan first reaches them (a failing scan
+    stops building) and kept in `semilattice._scans`: by position under
+    (kind, minimal_only), covers under (constrained set, minimal_only).
+    Each update is one idempotent `setdefault`, so interleaved scans agree.
     """
-    plans = _MEMO.setdefault(semilattice, {})
-    done = plans.get((kind, minimal_only, "done"))
-    if done is not None:
-        return done
-    return _build_instances(semilattice, plans, kind, minimal_only)
-
-
-def _build_instances(E, plans, kind, minimal_only):
-    if (kind, minimal_only) not in plans:
+    E, scans = semilattice, semilattice._scans
+    if (kind, minimal_only) not in scans:
+        n = len(E.elements)
         if kind == "cover-to-join":
-            aboves, disjoints = [(x,) for x in E.elements], [()]
+            aboves, disjoints = [(x,) for x in range(n)], [()]
         elif kind == "reduced":
-            aboves = [()] + [(x,) for x in E.elements]
-            disjoints = list(antichains(E))
+            aboves = [()] + [(x,) for x in range(n)]
+            disjoints = [tuple(E._index[y] for y in ys) for ys in antichains(E)]
         else:
-            aboves = disjoints = list(_graded_subsets(E.elements))
-        plans.setdefault((kind, minimal_only), ({}, aboves, disjoints))
-    built, aboves, disjoints = plans[kind, minimal_only]
-    known = plans.setdefault(("covers", minimal_only), {})
-    pos = E._index
-    for i, (above, disjoint) in enumerate(product(aboves, disjoints)):
-        if i not in built:
-            family = constrained_interval(E, above, disjoint)
-            if family not in known:
-                covers = tuple(_covers(E, family, minimal_only))
-                known[family] = covers, tuple(
-                    tuple(pos[z] for z in zs) for zs in covers)
-            covers, cover_pos = known[family]
-            index_form = (tuple(pos[x] for x in above),
-                          tuple(pos[y] for y in disjoint),
-                          tuple(pos[z] for z in family), cover_pos)
-            built.setdefault(i, (above, disjoint, family, covers, index_form))
-        yield built[i]
-    plans.setdefault((kind, minimal_only, "done"), tuple(
-        built[i] for i in range(len(aboves) * len(disjoints))))
+            aboves = disjoints = list(_graded_subsets(range(n)))
+        scans.setdefault((kind, minimal_only), ({}, aboves, disjoints))
+    built, aboves, disjoints = scans[kind, minimal_only]
+    width = len(disjoints)
+    for i in range(len(aboves) * width):
+        instance = built.get(i)
+        if instance is None:
+            xs, ys = aboves[i // width], disjoints[i % width]
+            family = _constrained(E, xs, ys)
+            covers = scans.get((family, minimal_only))
+            if covers is None:
+                covers = scans.setdefault((family, minimal_only), tuple(
+                    _covers(E, family, minimal_only)))
+            instance = built.setdefault(i, (xs, ys, family, covers))
+        yield instance
 
 
 def _prescribed_mask(img, unit, above, disjoint):
@@ -381,23 +354,25 @@ def _prescribed_mask(img, unit, above, disjoint):
     return rhs
 
 
-def _violations(view, img, instances):
+def _violations(domain, view, img, instances):
     """Each cover whose image join misses the prescribed value, in scan order.
 
-    `img` holds the images' atom masks in `view` by domain position.
+    `img` holds the images' atom masks in `view` by position in `domain`,
+    whose names a witness gets.
     """
-    unit, names = view._unit, view._mask_names
-    for above, disjoint, _, covers, (xs, ys, _, cover_pos) in instances:
+    unit, names, els = view._unit, view._mask_names, domain.elements
+    for xs, ys, _, covers in instances:
         rhs = _prescribed_mask(img, unit, xs, ys)
-        for k, zs in enumerate(cover_pos):
+        for zs in covers:
             # _join_mask inlined: through a generator this loop made
             # `verify --max-e 5 --atoms 3 --up-to-iso` about 25% slower
             lhs = 0
             for z in zs:
                 lhs |= img[z]
             if lhs != rhs:
-                yield TightWitness(above, disjoint, covers[k],
-                                   names[lhs], names[rhs])
+                yield TightWitness(
+                    tuple(els[x] for x in xs), tuple(els[y] for y in ys),
+                    tuple(els[z] for z in zs), names[lhs], names[rhs])
 
 
 def is_nondegenerate(rep: Representation) -> Verdict:

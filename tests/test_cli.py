@@ -411,6 +411,39 @@ def test_verify_wider_golden(capsys):
                    "checks: 20274\nviolations: 0\n")
 
 
+# the frontier runs the benchmark checks, pinned here as well: verify
+# counts and the sha256 of a labeled search-gap stream
+FRONTIER_VERIFY_GOLDEN = [
+    (("--max-e", "5", "--atoms", "3"), (24, 2258, 185877)),
+    (("--max-e", "6", "--atoms", "2"), (77, 2386, 523720)),
+]
+
+
+@pytest.mark.parametrize("flags, counts", FRONTIER_VERIFY_GOLDEN)
+def test_verify_frontier_golden(capsys, flags, counts):
+    code, out, err = run(capsys, "verify", *flags, "--up-to-iso")
+    assert code == 0
+    semilattices, representations, checks = counts
+    assert out == (f"semilattices: {semilattices}\nalgebras: 1\n"
+                   f"representations: {representations}\n"
+                   f"checks: {checks}\nviolations: 0\n")
+
+
+def test_search_gap_frontier_golden_digest(capsys):
+    code, out, err = run(capsys, "search-gap", "--max-e", "5", "--atoms", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "found: 830"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "059b9c1de4337b870377363ed90c43bb59d73739c5e989e9982b80b3a8367418"
+
+
+def test_verify_refuses_too_many_atoms_before_building(capsys):
+    code, out, err = run(capsys, "verify", "--max-e", "1", "--atoms", "9")
+    assert code == 1
+    assert out == ""
+    assert err == "error: atom counts must be at most 8\n"
+
+
 def test_verify_accepts_repeated_atoms(capsys):
     code, out, err = run(capsys, "verify", "--max-e", "2",
                          "--atoms", "1", "--atoms", "2")

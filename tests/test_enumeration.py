@@ -21,11 +21,17 @@ from tightrep import (
     search_gap,
     verify_theorems,
 )
+from tightrep.enumeration import (
+    MAX_ATOMS,
+    VerificationSummary,
+    _check_semilattice,
+)
 
 from conftest import (
     brute_cover_to_join,
     brute_semilattice_tables,
     brute_tight,
+    make_diamond,
     satisfies_semilattice_axioms,
 )
 
@@ -141,7 +147,7 @@ def test_canonical_members_are_exactly_the_up_to_iso_stream():
         assert emitted == [t for t in labeled if canonical_meet_table(t) == t]
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, database=None)
 @given(st.data())
 def test_canonical_form_is_relabeling_invariant(data):
     tables = [index_table(sl) for sl in enumerate_semilattices(4)]
@@ -307,6 +313,33 @@ def test_universe_spec_validation():
         UniverseSpec(2, ())
     with pytest.raises(ValidationError):
         UniverseSpec(2, (-1,))
+
+
+def test_atom_counts_above_the_bound_are_refused():
+    # P(9) would have 512 x 512 tables; refuse it before building anything
+    assert MAX_ATOMS == 8
+    with pytest.raises(ValidationError, match="at most 8"):
+        UniverseSpec(1, (2, 9))
+    with pytest.raises(ValidationError, match="at most 8"):
+        powerset_algebra(9)
+
+
+def test_semilattice_pass_reports_an_unsound_reduction():
+    # a meet entry changed after validation breaks the law that the
+    # above-set collapses to its meet; the pass must say where
+    E = make_diamond()
+    summary = VerificationSummary()
+    _check_semilattice(E, summary)
+    assert summary.ok and summary.checks == 256
+    a, b = E.index("a"), E.index("b")
+    meet = [list(row) for row in E._meet]
+    meet[a][b] = a
+    E._meet = tuple(tuple(row) for row in meet)
+    summary = VerificationSummary()
+    _check_semilattice(E, summary)
+    assert summary.checks == 256
+    assert summary.violations[0] == \
+        "constrained-set reduction unsound at ('a', 'b'), ()"
 
 
 def test_reduced_tight_scan_agrees_on_mixed_universe():

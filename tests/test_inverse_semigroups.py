@@ -295,13 +295,13 @@ def test_corner_structure_invariants():
 
 
 def test_restrictions_share_one_semilattice_and_its_instances(monkeypatch, i2):
-    real = representations.constrained_interval
+    real = representations._constrained
     calls = []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(representations, "constrained_interval", counting)
+    monkeypatch.setattr(representations, "_constrained", counting)
     hom = ISHomomorphism(i2, i2, {s: s for s in i2.elements})
     E = hom.restriction().domain
     assert hom.restriction().domain is E

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tightrep import (
     FiniteGenBoolAlg,
@@ -282,6 +282,7 @@ def test_every_ideal_of_a_finite_algebra_is_principal(p3):
             assert set(c) == set(principal_ideal(p3, p3.join_all(c)).elements)
 
 
+@settings(derandomize=True, database=None)
 @given(st.data())
 def test_generated_ideal_smallest_on_sampled_p4(data):
     alg = powerset_algebra(4)
@@ -425,6 +426,7 @@ def test_meet_reduct_of_powerset(p2):
             assert reduct.meet(a, b) == p2.meet(a, b)
 
 
+@settings(derandomize=True, database=None)
 @given(st.data())
 def test_meet_all_agrees_with_pairwise_folding(data):
     diamond = make_diamond()

@@ -274,13 +274,13 @@ def test_cover_to_join_settles_all_nonempty_above_instances(p2):
 # -- instances are built once per semilattice ------------------------------------
 
 def test_second_scan_of_a_semilattice_builds_no_instance(monkeypatch, p2):
-    real = representations.constrained_interval
+    real = representations._constrained
     calls = []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(representations, "constrained_interval", counting)
+    monkeypatch.setattr(representations, "_constrained", counting)
     reps = list(enumerate_representations(make_diamond(), p2))
     for rep in reps:
         is_cover_to_join(rep)
@@ -291,6 +291,27 @@ def test_second_scan_of_a_semilattice_builds_no_instance(monkeypatch, p2):
         is_cover_to_join(rep)
         is_tight(rep)
     assert len(calls) == built
+
+
+def test_failing_scan_stops_building_at_its_first_instance(monkeypatch):
+    # zero plus six atoms: the zero map into P(1) fails the reduced scan at
+    # its first instance (nothing above, nothing disjoint), so the scan
+    # computes covers for that one constrained set and no other
+    names = ["0"] + [f"a{k}" for k in range(1, 7)]
+    meet = [[x if x == y else "0" for y in names] for x in names]
+    E = FiniteMeetSemilattice(names, "0", meet)
+    rep = Representation(E, powerset_algebra(1), {x: "0" for x in names})
+    real = representations._covers
+    families = []
+
+    def counting(semilattice, family, *args):
+        families.append(family)
+        return real(semilattice, family, *args)
+    monkeypatch.setattr(representations, "_covers", counting)
+    verdict = is_tight(rep)
+    assert not verdict.ok
+    assert verdict.witness.above == verdict.witness.disjoint == ()
+    assert families == [(1 << len(names)) - 1]
 
 
 def chain3_and_vee():
@@ -365,7 +386,7 @@ def test_scan_started_while_an_instance_is_built_keeps_positions(
     E, serial = make_diamond(), make_diamond()
     reps = list(enumerate_representations(E, p2))
     failing = next(rep for rep in reps if not brute_tight(rep))
-    real = representations.constrained_interval
+    real = representations._constrained
     nested = []
 
     def interrupting(*args):
@@ -373,7 +394,7 @@ def test_scan_started_while_an_instance_is_built_keeps_positions(
             nested.append("running")
             nested[0] = is_tight(failing, reduced=False, minimal_only=False)
         return real(*args)
-    monkeypatch.setattr(representations, "constrained_interval", interrupting)
+    monkeypatch.setattr(representations, "_constrained", interrupting)
     got = [is_tight(rep, reduced=False, minimal_only=False) for rep in reps]
     monkeypatch.undo()
     assert not nested[0].ok
