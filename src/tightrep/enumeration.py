@@ -1,14 +1,17 @@
 """Generators for small universes and exhaustive theorem verification.
 
-Semilattices are enumerated as labeled meet tables with the zero pinned
+Labeled semilattices are enumerated as meet tables with the zero pinned
 to the first element, by a backtracker that drops a branch as soon as
-its set entries break associativity on some triple; optionally one
-representative per isomorphism class (canonical form: lexicographically
-least table over relabelings), kept by a filter that rejects a table at
-its first smaller relabeling.
+its set entries break associativity on some triple.  Up to isomorphism,
+one representative per class (canonical form: lexicographically least
+table over relabelings) is generated level by level: every class of
+size n is a class of size n - 1 plus a new maximal element, so each
+level is the set of canonical forms of the previous level's one-element
+extensions.
 Codomains are powerset algebras, which lose no generality for unital
-codomains.  The searches stream lazily and deterministically: two runs
-over the same spec produce identical streams.
+codomains.  The searches are deterministic: two runs over the same spec
+produce identical streams.  Every stream is lazy except the up-to-iso
+semilattices, which hold one level in memory.
 """
 
 from __future__ import annotations
@@ -39,6 +42,23 @@ from .representations import (
 )
 
 MAX_ATOMS = 8   # P(k) has 4^k-entry tables: validating P(8) takes seconds
+# Largest semilattice sizes.  Labeled, size 8 has 3.4M tables (96,373 at
+# 7).  Up to isomorphism, size 9 tries 8! relabelings on each of 16,747
+# extensions, about 20 minutes (size 8: 7! on each of 2861, about 25 s).
+MAX_LABELED_SIZE = 7
+MAX_ISO_SIZE = 8
+
+
+def _check_size(n: int, up_to_iso: bool) -> None:
+    """Refuse a semilattice size below 1 or past its path's bound."""
+    if n < 1:
+        raise ValidationError("semilattice size must be at least 1")
+    bound = MAX_ISO_SIZE if up_to_iso else MAX_LABELED_SIZE
+    if n > bound:
+        path = ("up to isomorphism" if up_to_iso
+                else f"({MAX_ISO_SIZE} up to isomorphism)")
+        raise ValidationError(f"semilattice size must be at most {bound} {path}")
+
 
 @dataclass(frozen=True)
 class UniverseSpec:
@@ -54,6 +74,7 @@ class UniverseSpec:
     def __post_init__(self):
         if self.max_semilattice_size < 1:
             raise ValidationError("max semilattice size must be at least 1")
+        _check_size(self.max_semilattice_size, self.up_to_iso)
         if not self.atom_counts:
             raise ValidationError("atom counts must be nonempty")
         if any(k < 0 for k in self.atom_counts):
@@ -169,28 +190,62 @@ def canonical_meet_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
     return best
 
 
-def _is_canonical(table) -> bool:
-    """Whether no relabeling of the meet table is lexicographically smaller."""
-    return not any(_relabeling_is_smaller(table, sigma, table)
-                   for sigma in _relabelings(len(table)))
+def _extensions(table):
+    """The tables of `table` with one new maximal element, the last.
+
+    The new element m is fixed by its strict down-set L, which holds the
+    zero.  Its meet with x is the greatest element of L ∩ ↓x, so L is
+    valid exactly when every L ∩ ↓x is a principal down-set ↓g; then
+    m ∧ x = g, and L, the union of these down-sets, is itself one.
+    Removing a maximal element from a meet-semilattice with zero leaves
+    one (a ∧ b = m forces a = m), so every table on one more element is
+    isomorphic to an extension of some table of this size.
+    """
+    k = len(table)
+    down = [sum(1 << a for a in range(k) if table[a][b] == a) for b in range(k)]
+    principal = {d: g for g, d in enumerate(down)}
+    for rest in range(1 << (k - 1)):
+        strict = 1 | rest << 1
+        meets = [principal.get(strict & d) for d in down]
+        if None not in meets:
+            yield (tuple(row + (m,) for row, m in zip(table, meets))
+                   + (tuple(meets) + (k,),))
+
+
+def _iso_meet_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The canonical meet tables on n elements, sorted.
+
+    Built level by level from the one-element table: each level is the
+    set of canonical forms of the extensions of the level below.  Sorted
+    rows agree with the labeled stream's assignment-vector order (row 0,
+    column 0 and the diagonal are fixed, and the entries below the
+    diagonal mirror earlier rows), so this is the labeled stream's
+    subsequence of canonical tables.
+    """
+    level = [((0,),)]
+    for _ in range(n - 1):
+        level = sorted({canonical_meet_table(child)
+                        for table in level for child in _extensions(table)})
+    yield from level
 
 
 def enumerate_semilattices(n: int, up_to_iso: bool = False
                            ) -> Iterator[FiniteMeetSemilattice]:
     """All labeled meet-semilattices on n elements named "0".."n-1".
 
-    The zero is always element "0".  With up_to_iso only tables equal to
-    their canonical form are emitted; the filter stops at the first
-    relabeling smaller than the table, so it never builds a canonical form.
+    The zero is always element "0".  With up_to_iso, one per isomorphism
+    class: the canonical tables of size n, generated by adding a maximal
+    element to the classes of size n - 1.  That stream is not lazy: its
+    first item waits for the whole level of size n, and the level below is
+    held until then.  Sizes past `MAX_LABELED_SIZE` (`MAX_ISO_SIZE` up to
+    isomorphism) are refused at the call, before any table is built.
     """
-    if n < 1:
-        raise ValidationError("semilattice size must be at least 1")
+    _check_size(n, up_to_iso)
     names = tuple(str(i) for i in range(n))
-    for table in _meet_tables(n):
-        if up_to_iso and not _is_canonical(table):
-            continue
-        rows = [[names[v] for v in row] for row in table]
-        yield FiniteMeetSemilattice(names, "0", rows)
+    tables = _iso_meet_tables(n) if up_to_iso else _meet_tables(n)
+    return (FiniteMeetSemilattice(names, "0", [[names[v] for v in row]
+                                               for row in table])
+            for table in tables)
 
 
 def powerset_algebra(atoms: int) -> FiniteGenBoolAlg:

@@ -17,6 +17,7 @@ from tightrep import (
     FiniteMeetSemilattice,
     ISHomomorphism,
     ValidationError,
+    enumeration,
     powerset_algebra,
 )
 
@@ -74,6 +75,16 @@ def p2():
 @pytest.fixture
 def p3():
     return powerset_algebra(3)
+
+
+@pytest.fixture
+def no_generation(monkeypatch):
+    """Make any meet-table generator or powerset algebra build fail, so a
+    size guard is tested without starting the work it refuses."""
+    def unreachable(n):
+        raise AssertionError(f"generation of size {n} started")
+    for name in ("_meet_tables", "_iso_meet_tables", "powerset_algebra"):
+        monkeypatch.setattr(enumeration, name, unreachable)
 
 
 # -- inverse semigroups, built from first principles ----------------------

@@ -444,6 +444,24 @@ def test_verify_refuses_too_many_atoms_before_building(capsys):
     assert err == "error: atom counts must be at most 8\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "--size", "8"),
+     "semilattice size must be at most 7 (8 up to isomorphism)"),
+    (("enumerate", "--size", "9", "--up-to-iso"),
+     "semilattice size must be at most 8 up to isomorphism"),
+    (("verify", "--max-e", "8", "--atoms", "1"),
+     "semilattice size must be at most 7 (8 up to isomorphism)"),
+    (("search-gap", "--max-e", "9", "--atoms", "1", "--up-to-iso"),
+     "semilattice size must be at most 8 up to isomorphism"),
+])
+def test_semilattice_sizes_past_the_bounds_exit_1(no_generation, capsys,
+                                                  argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_accepts_repeated_atoms(capsys):
     code, out, err = run(capsys, "verify", "--max-e", "2",
                          "--atoms", "1", "--atoms", "2")

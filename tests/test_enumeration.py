@@ -21,8 +21,11 @@ from tightrep import (
     search_gap,
     verify_theorems,
 )
+from tightrep import enumeration
 from tightrep.enumeration import (
     MAX_ATOMS,
+    MAX_ISO_SIZE,
+    MAX_LABELED_SIZE,
     VerificationSummary,
     _check_semilattice,
 )
@@ -50,11 +53,12 @@ def test_small_counts():
     # A006966 (lattices up to isomorphism) for the up-to-iso stream, and
     # A055512 (labeled lattices) = labeled count * (n + 1) * n, the factor
     # choosing the labels of the bottom and the top on n + 1 points.
-    unlabeled = [1, 1, 2, 5, 15, 53]
+    unlabeled = [1, 1, 2, 5, 15, 53, 222]
     labeled_lattices = [2, 6, 36, 380, 6390, 157962]
-    for n in range(1, 7):
+    for n in range(1, 8):
         assert (sum(1 for _ in enumerate_semilattices(n, up_to_iso=True))
                 == unlabeled[n - 1])
+    for n in range(1, 7):
         assert (sum(1 for _ in enumerate_semilattices(n)) * (n + 1) * n
                 == labeled_lattices[n - 1])
 
@@ -107,6 +111,46 @@ def test_size_must_be_positive():
         list(enumerate_semilattices(0))
 
 
+def test_sizes_past_the_bounds_are_refused_before_generation(no_generation):
+    assert (MAX_LABELED_SIZE, MAX_ISO_SIZE) == (7, 8)
+    with pytest.raises(ValidationError, match="at most 7"):
+        enumerate_semilattices(8)
+    with pytest.raises(ValidationError, match="at most 8 up to isomorphism"):
+        enumerate_semilattices(9, up_to_iso=True)
+    with pytest.raises(ValidationError, match="at most 7"):
+        UniverseSpec(8, (1,))
+    with pytest.raises(ValidationError, match="at most 8 up to isomorphism"):
+        UniverseSpec(9, (1,), up_to_iso=True)
+    UniverseSpec(7, (1,))
+    UniverseSpec(8, (1,), up_to_iso=True)
+
+
+# -- isomorph-free generation ----------------------------------------------------------
+
+def iso_levels(up_to):
+    """The canonical tables of sizes 1..up_to, level by level."""
+    return [list(enumeration._iso_meet_tables(n)) for n in range(1, up_to + 1)]
+
+
+def test_every_extension_is_a_semilattice_with_a_new_maximal_element():
+    for level in iso_levels(6):
+        for table in level:
+            k = len(table)
+            for child in enumeration._extensions(table):
+                assert len(child) == k + 1
+                assert satisfies_semilattice_axioms(child)
+                # the old table is kept, and nothing lies above the new one
+                assert all(child[a][:k] == table[a] for a in range(k))
+                assert all(child[k][a] != k for a in range(k))
+
+
+def test_extension_counts_per_level():
+    counts = [sum(1 for table in level
+                  for _ in enumeration._extensions(table))
+              for level in iso_levels(5)]
+    assert counts == [1, 2, 7, 27, 116]
+
+
 # -- canonical form -----------------------------------------------------------------
 
 def test_canonical_form_is_idempotent():
@@ -139,7 +183,7 @@ def test_canonical_form_matches_brute_oracle():
 
 
 def test_canonical_members_are_exactly_the_up_to_iso_stream():
-    for n in range(1, 6):
+    for n in range(1, 7):
         labeled = [index_table(sl) for sl in enumerate_semilattices(n)]
         emitted = [index_table(sl)
                    for sl in enumerate_semilattices(n, up_to_iso=True)]
