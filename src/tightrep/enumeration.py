@@ -72,8 +72,6 @@ class UniverseSpec:
     up_to_iso: bool = False
 
     def __post_init__(self):
-        if self.max_semilattice_size < 1:
-            raise ValidationError("max semilattice size must be at least 1")
         _check_size(self.max_semilattice_size, self.up_to_iso)
         if not self.atom_counts:
             raise ValidationError("atom counts must be nonempty")

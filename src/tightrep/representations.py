@@ -312,22 +312,10 @@ def _instances(semilattice, kind, minimal_only=True):
     disjoint.  "reduced": the empty set and the singletons above,
     antichains disjoint.  "all": every subset for both (the oracle).
     Covers are the inclusion-minimal ones, or all without minimal_only.
-    Once some scan has walked every instance, the finished tuple is
-    returned as it is; until then a generator builds them.
-    """
-    done = semilattice._scans.get((kind, minimal_only, "done"))
-    return done if done is not None else _build_instances(
-        semilattice, kind, minimal_only)
-
-
-def _build_instances(semilattice, kind, minimal_only):
-    """Yield the instances of `_instances`, building each when first reached.
-
-    A failing scan stops building.  Instances are kept in
-    `semilattice._scans`: by position under (kind, minimal_only), covers
-    under (constrained set, minimal_only), and the finished tuple under
-    (kind, minimal_only, "done") when the walk ends.  Each update is one
-    idempotent `setdefault`, so interleaved scans agree.
+    Instances are built when a scan first reaches them (a failing scan
+    stops building) and kept in `semilattice._scans`: by position under
+    (kind, minimal_only), covers under (constrained set, minimal_only).
+    Each update is one idempotent `setdefault`, so interleaved scans agree.
     """
     E, scans = semilattice, semilattice._scans
     if (kind, minimal_only) not in scans:
@@ -342,8 +330,7 @@ def _build_instances(semilattice, kind, minimal_only):
         scans.setdefault((kind, minimal_only), ({}, aboves, disjoints))
     built, aboves, disjoints = scans[kind, minimal_only]
     width = len(disjoints)
-    total = len(aboves) * width
-    for i in range(total):
+    for i in range(len(aboves) * width):
         instance = built.get(i)
         if instance is None:
             xs, ys = aboves[i // width], disjoints[i % width]
@@ -354,8 +341,6 @@ def _build_instances(semilattice, kind, minimal_only):
                     _covers(E, family, minimal_only)))
             instance = built.setdefault(i, (xs, ys, family, covers))
         yield instance
-    scans.setdefault((kind, minimal_only, "done"),
-                     tuple(built[i] for i in range(total)))
 
 
 def _prescribed_mask(img, unit, above, disjoint):
