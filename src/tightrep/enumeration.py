@@ -1,30 +1,28 @@
 """Generators for small universes and exhaustive theorem verification.
 
-Labeled semilattices are enumerated as meet tables with the zero pinned
-to the first element, by a backtracker that drops a branch as soon as
-its set entries break associativity on some triple.  Up to isomorphism,
-one representative per class (canonical form: lexicographically least
-table over relabelings) is generated level by level: every class of
-size n is a class of size n - 1 plus a new maximal element, so each
-level is the set of canonical forms of the previous level's one-element
-extensions.
+Semilattices are meet tables with the zero pinned to the first element.
+Up to isomorphism, one representative per class (canonical form:
+lexicographically least table over relabelings) is generated level by
+level: every class of size n is a class of size n - 1 plus a new maximal
+element, so each level is the set of canonical forms of the previous
+level's one-element extensions.  The labeled tables are the relabelings
+of the classes, sorted.  Both semilattice streams hold one level in
+memory; every other stream is lazy.
 Codomains are powerset algebras, which lose no generality for unital
 codomains.  The searches are deterministic: two runs over the same spec
-produce identical streams.  Every stream is lazy except the up-to-iso
-semilattices, which hold one level in memory.
+produce identical streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterator, Sequence
 
 from .lattices import (
     FiniteGenBoolAlg,
     FiniteMeetSemilattice,
     ValidationError,
-    _associativity_violation,
     _join_mask,
     is_ideal,
 )
@@ -42,9 +40,10 @@ from .representations import (
 )
 
 MAX_ATOMS = 8   # P(k) has 4^k-entry tables: validating P(8) takes seconds
-# Largest semilattice sizes.  Labeled, size 8 has 3.4M tables (96,373 at
-# 7).  Up to isomorphism, size 9 tries 8! relabelings on each of 16,747
-# extensions, about 20 minutes (size 8: 7! on each of 2861, about 25 s).
+# Largest semilattice sizes.  Labeled, size 8 would take 1078 × 7! ≈ 5.4M
+# relabelings (size 7: 222 × 6!, 96,373 distinct tables).  Up to
+# isomorphism, size 9 tries 8! relabelings on each of 16,747 extensions,
+# about 20 minutes (size 8: 7! on each of 2861, about 25 s).
 MAX_LABELED_SIZE = 7
 MAX_ISO_SIZE = 8
 
@@ -90,58 +89,6 @@ class GapExample:
     report: TightnessReport
 
 
-def _meet_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All meet tables on 0..n-1 with zero 0, as index tables.
-
-    Backtracks over the free entries (i, j) with 1 <= i < j in
-    lexicographic order; values run over 0..n-1, so the stream is ordered
-    by the assignment vector.  After entry (i, j) is set to v, every
-    triple {i, j, c} is checked: in a semilattice (i ∧ j) ∧ c, i ∧ (j ∧ c)
-    and j ∧ (i ∧ c) are equal, so if two of them are already determined
-    and differ, the branch is pruned.  Set entries never change below a
-    node, so a pruned branch has no valid leaf and the stream is the one
-    the unpruned search gives.  (c = i and c = j give v ∧ i = v and
-    v ∧ j = v, so v lies below both.)  Associativity is still checked in
-    full at every leaf.
-    """
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = i
-        table[0][i] = table[i][0] = 0
-    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
-    others = range(1, n)
-
-    def consistent(i, j, v):
-        ti, tj, tv = table[i], table[j], table[v]
-        for c in others:
-            known = tv[c]                   # (i ∧ j) ∧ c
-            ic = ti[c]
-            if ic is not None and tj[ic] is not None:
-                if known is None:
-                    known = tj[ic]          # j ∧ (i ∧ c)
-                elif tj[ic] != known:
-                    return False
-            jc = tj[c]
-            if (jc is not None and known is not None
-                    and ti[jc] is not None and ti[jc] != known):
-                return False                # i ∧ (j ∧ c)
-        return True
-
-    def backtrack(k):
-        if k == len(pairs):
-            if _associativity_violation(table) is None:
-                yield tuple(tuple(row) for row in table)
-            return
-        i, j = pairs[k]
-        for v in range(n):
-            table[i][j] = table[j][i] = v
-            if consistent(i, j, v):
-                yield from backtrack(k + 1)
-        table[i][j] = table[j][i] = None
-
-    yield from backtrack(0)
-
-
 def _relabeling_is_smaller(table, sigma, best) -> bool:
     """Whether the table relabeled by sigma is lexicographically below best.
 
@@ -169,6 +116,18 @@ def _relabelings(n: int):
     return ((0,) + perm for perm in permutations(range(1, n)))
 
 
+def _relabel(table, sigma) -> list[list[int]]:
+    """The table relabeled by sigma: entry (a, b) = v goes to
+    (sigma[a], sigma[b]) = sigma[v]."""
+    n = len(table)
+    relabeled = [[0] * n for _ in range(n)]
+    for a, row in enumerate(table):
+        out = relabeled[sigma[a]]
+        for b, v in enumerate(row):
+            out[sigma[b]] = sigma[v]
+    return relabeled
+
+
 def canonical_meet_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeling of an index meet table.
 
@@ -176,15 +135,10 @@ def canonical_meet_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
     it is the unique minimum).  Each relabeling is compared lazily with
     the least one found so far and built only when it is smaller.
     """
-    n = len(table)
     best = tuple(tuple(row) for row in table)
-    for sigma in _relabelings(n):
+    for sigma in _relabelings(len(table)):
         if _relabeling_is_smaller(table, sigma, best):
-            relabeled = [[0] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    relabeled[sigma[a]][sigma[b]] = sigma[table[a][b]]
-            best = tuple(tuple(row) for row in relabeled)
+            best = tuple(tuple(row) for row in _relabel(table, sigma))
     return best
 
 
@@ -214,11 +168,8 @@ def _iso_meet_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The canonical meet tables on n elements, sorted.
 
     Built level by level from the one-element table: each level is the
-    set of canonical forms of the extensions of the level below.  Sorted
-    rows agree with the labeled stream's assignment-vector order (row 0,
-    column 0 and the diagonal are fixed, and the entries below the
-    diagonal mirror earlier rows), so this is the labeled stream's
-    subsequence of canonical tables.
+    set of canonical forms of the extensions of the level below.  This is
+    the subsequence of canonical tables of `_meet_tables(n)`.
     """
     level = [((0,),)]
     for _ in range(n - 1):
@@ -227,16 +178,33 @@ def _iso_meet_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     yield from level
 
 
+def _meet_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All meet tables on 0..n-1 with zero 0, sorted by rows.
+
+    Each one is a relabeling fixing 0 of exactly one canonical table, so
+    the set is every relabeling of every class of size n.  It is held as
+    flat bytes, whose order is that of the rows.  Sorted rows are also
+    the order of the free entries (i, j), 1 <= i < j, read row by row:
+    row 0, column 0 and the diagonal are fixed, and the entries below the
+    diagonal mirror earlier rows.
+    """
+    tables = {bytes(chain.from_iterable(_relabel(table, sigma)))
+              for table in _iso_meet_tables(n) for sigma in _relabelings(n)}
+    for flat in sorted(tables):
+        yield tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+
+
 def enumerate_semilattices(n: int, up_to_iso: bool = False
                            ) -> Iterator[FiniteMeetSemilattice]:
     """All labeled meet-semilattices on n elements named "0".."n-1".
 
     The zero is always element "0".  With up_to_iso, one per isomorphism
     class: the canonical tables of size n, generated by adding a maximal
-    element to the classes of size n - 1.  That stream is not lazy: its
-    first item waits for the whole level of size n, and the level below is
-    held until then.  Sizes past `MAX_LABELED_SIZE` (`MAX_ISO_SIZE` up to
-    isomorphism) are refused at the call, before any table is built.
+    element to the classes of size n - 1.  Neither stream is lazy: the
+    first item waits for the whole level of size n (labeled, for every
+    relabeling of its classes), and the level below is held until then.
+    Sizes past `MAX_LABELED_SIZE` (`MAX_ISO_SIZE` up to isomorphism) are
+    refused at the call, before any table is built.
     """
     _check_size(n, up_to_iso)
     names = tuple(str(i) for i in range(n))

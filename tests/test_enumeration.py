@@ -88,8 +88,8 @@ def brute_meet_table_stream(n):
 
 
 def test_enumeration_stream_matches_sorted_brute_oracle():
-    # the pruned backtracker must emit exactly the valid tables, in the
-    # order of their assignment vectors
+    # the relabelings of the classes must be exactly the valid tables, in
+    # the order of their assignment vectors
     for n in range(1, 6):
         got = [index_table(sl) for sl in enumerate_semilattices(n)]
         assert got == brute_meet_table_stream(n)

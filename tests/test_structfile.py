@@ -3,8 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tightrep import ParseError, ValidationError, parse, render
+from tightrep import (
+    ISHomomorphism,
+    ParseError,
+    ValidationError,
+    enumerate_representations,
+    enumerate_semilattices,
+    parse,
+    powerset_algebra,
+    render,
+)
 from tightrep.structfile import Block, StructureFile, render_block
 
 from conftest import make_i2, make_chain2, semigroup_from_semilattice
@@ -60,17 +70,19 @@ def test_round_trip_is_byte_stable():
     assert sf["B"].structure.top == "12"
 
 
-def test_homomorphism_blocks_round_trip():
+def homomorphism_file():
     i2 = make_i2()
     chain2 = semigroup_from_semilattice(make_chain2())
-    from tightrep import ISHomomorphism
     hom = ISHomomorphism(chain2, i2, {"0": "z", "1": "e1"})
-    sf = StructureFile([
+    return StructureFile([
         Block("inverse_semigroup", "S", 0, chain2, {}),
         Block("inverse_semigroup", "T", 0, i2, {}),
         Block("homomorphism", "phi", 0, hom, {"domain": "S", "codomain": "T"}),
     ])
-    text = render(sf)
+
+
+def test_homomorphism_blocks_round_trip():
+    text = render(homomorphism_file())
     parsed = parse(text)
     assert parsed["phi"].structure.image("1") == "e1"
     assert render(parsed) == text
@@ -155,3 +167,57 @@ def test_unknown_structure_lookup():
     sf = parse(COUNTEREXAMPLE)
     with pytest.raises(ValidationError, match="unknown structure 'nope'"):
         sf["nope"]
+
+
+# -- properties ------------------------------------------------------------
+
+SEED_TEXTS = (COUNTEREXAMPLE, render(homomorphism_file()))
+# pieces of the format, so that edits reach past the header checks
+TOKENS = ("\n", " ", ":", "->", "@", "#", "0", "1", "12", "z", "e1",
+          "elements:", "zero:", "meet:", "join:", "mul:", "map:",
+          "domain:", "codomain:", "@semilattice E", "@algebra B",
+          "@representation pi", "@inverse_semigroup S", "@homomorphism phi")
+
+
+@st.composite
+def edited_structure_texts(draw):
+    """A valid structure text with a few short slices replaced."""
+    text = draw(st.sampled_from(SEED_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 12)))
+        insert = draw(st.one_of(st.text(max_size=6), st.sampled_from(TOKENS)))
+        text = text[:start] + insert + text[stop:]
+    return text
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(st.one_of(st.text(), edited_structure_texts()))
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+SEMILATTICES = [E for n in range(1, 5) for E in enumerate_semilattices(n)]
+ALGEBRAS = [powerset_algebra(k) for k in range(3)]
+
+
+@settings(derandomize=True, database=None)
+@given(st.data())
+def test_render_then_parse_is_a_fixed_point_on_generated_files(data):
+    E = data.draw(st.sampled_from(SEMILATTICES))
+    B = data.draw(st.sampled_from(ALGEBRAS))
+    reps = data.draw(st.lists(
+        st.sampled_from(list(enumerate_representations(E, B))), max_size=3))
+    sf = StructureFile(
+        [Block("semilattice", "E", 0, E, {}), Block("algebra", "B", 0, B, {})]
+        + [Block("representation", f"pi{i}", 0, rep,
+                 {"domain": "E", "codomain": "B"})
+           for i, rep in enumerate(reps)])
+    text = render(sf)
+    parsed = parse(text)
+    assert render(parsed) == text
+    assert [b.structure.mapping for b in parsed.blocks[2:]] == \
+        [rep.mapping for rep in reps]
