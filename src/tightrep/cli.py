@@ -127,45 +127,28 @@ def cmd_tighten(args) -> int:
     sf = _read_structures(args.path)
     block = sf[args.rep]
     if block.kind == "representation":
-        blocks = _tighten_representation_blocks(sf, block)
+        tightening = tighten(block.structure)
+        corner_kind, corner = "algebra", tightening.codomain.as_algebra()
+        corestricted = block.structure.with_codomain(corner)
     elif block.kind == "homomorphism":
-        blocks = _tighten_homomorphism_blocks(sf, block)
+        tightening = tighten_homomorphism(block.structure)
+        corner_kind, corner = "inverse_semigroup", tightening.corner
+        corestricted = tightening.homomorphism
     else:
         raise CliInputError(
             f"'{block.name}' is @{block.kind}, need a representation or homomorphism")
+    domain_block = sf[block.refs["domain"]]
+    corner_name = block.refs["codomain"] + "_tightened"
+    print(f"unit: {tightening.unit}")
+    blocks = [
+        domain_block,
+        Block(corner_kind, corner_name, 0, corner, {}),
+        Block(block.kind, block.name + "_tightened", 0, corestricted,
+              {"domain": domain_block.name, "codomain": corner_name}),
+    ]
     Path(args.out).write_text(render(StructureFile(blocks)), encoding="utf-8")
     print(f"wrote: {args.out}")
     return 0
-
-
-def _tighten_representation_blocks(sf, block):
-    tightening = tighten(block.structure)
-    corner_algebra = tightening.codomain.as_algebra()
-    domain_block = sf[block.refs["domain"]]
-    algebra_name = block.refs["codomain"] + "_tightened"
-    rep_name = block.name + "_tightened"
-    corestricted = block.structure.with_codomain(corner_algebra)
-    print(f"unit: {tightening.unit}")
-    return [
-        domain_block,
-        Block("algebra", algebra_name, 0, corner_algebra, {}),
-        Block("representation", rep_name, 0, corestricted,
-              {"domain": domain_block.name, "codomain": algebra_name}),
-    ]
-
-
-def _tighten_homomorphism_blocks(sf, block):
-    tightening = tighten_homomorphism(block.structure)
-    domain_block = sf[block.refs["domain"]]
-    corner_name = block.refs["codomain"] + "_tightened"
-    hom_name = block.name + "_tightened"
-    print(f"unit: {tightening.unit}")
-    return [
-        domain_block,
-        Block("inverse_semigroup", corner_name, 0, tightening.corner, {}),
-        Block("homomorphism", hom_name, 0, tightening.homomorphism,
-              {"domain": domain_block.name, "codomain": corner_name}),
-    ]
 
 
 def cmd_enumerate(args) -> int:

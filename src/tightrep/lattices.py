@@ -5,8 +5,10 @@ Validation is eager: constructing a structure runs the exhaustive axiom
 check and raises ValidationError on the first violation, so every live
 instance is known-good.  Tables never change after construction and all
 operations are pure.  A semilattice keeps bitsets over positions: the
-down-sets `_down` and the meet-zero sets `_zero_meet`; `_scans` gains its
-tight instances lazily, by idempotent `setdefault`s, so it is shareable.
+down-sets `_down` and the meet-zero sets `_zero_meet`.  `_scans` gains,
+by idempotent `setdefault`s, the subset masks of each scan kind's above-
+and disjoint-sets and the covers of each constrained set, so it is
+shareable.
 
 A finite generalized Boolean algebra is the powerset of its atoms.  The
 tables are read and validated as given; then each element gets its atom
@@ -24,6 +26,7 @@ the view's own `elements`.  It shares the parent's masks, and its unit
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -90,10 +93,12 @@ class _TableStructure:
     """Reading, `sort` and the cold dunders shared by the table-defined
     structures.
 
-    Each subclass defines its own operations, even where the code is the
-    same: CPython specializes attribute access inside a function per
-    type, and one `meet` shared by semilattices and algebras, which
-    alternate in every scan, runs markedly slower.
+    Each subclass defines its own operations (`meet`, `index` and the
+    like), even where the code is the same.  The benchmark's op counter
+    wraps the operations it finds in each class's own namespace, so an
+    operation moved here would drop out of its count.  The scans of the
+    representation layer call none of them: they run on positions and
+    masks.
     """
 
     def _read(self, elements, zero, **tables):
@@ -371,6 +376,7 @@ class FiniteGenBoolAlg(_TableStructure):
         return FiniteGenBoolAlg(els, self.zero, meet, join)
 
 
+@dataclass(frozen=True)
 class IdealCheck:
     """Outcome of an ideal test: ok, or a named violation with a witness.
 
@@ -378,21 +384,12 @@ class IdealCheck:
     witness pair (a, b) has a ≤ b with b a member but a not; for "join"
     the witness pair joins outside the candidate set.
     """
-
-    __slots__ = ("ok", "reason", "witness")
-
-    def __init__(self, ok, reason=None, witness=None):
-        self.ok = ok
-        self.reason = reason
-        self.witness = witness
+    ok: bool
+    reason: str | None = None
+    witness: tuple[str, str] | None = None
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "IdealCheck(ok=True)"
-        return f"IdealCheck(ok=False, reason={self.reason!r}, witness={self.witness!r})"
 
 
 def is_ideal(algebra, members: Iterable[str]) -> IdealCheck:

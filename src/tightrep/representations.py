@@ -15,12 +15,15 @@ in that order.
 Cover-to-join, the tight scan and its oracle forms are one scan over
 different tight instances (above-set, disjointness set, constrained set,
 covers).  Instances depend on the semilattice alone and hold domain
-positions only: each is built from the semilattice's bitsets when a scan
-first reaches it and kept on the semilattice.  Only prescribed values and
-cover joins are per map, and they run on positions and the codomain's
-atom masks: the prescribed value is `unit & img[x] & ~img[y]...`, a cover
-join the OR of its images.  Element names stay at the edges: arguments,
-witnesses and the name-level API.
+positions only.  None is stored: the semilattice keeps each above-set
+with the subset mask of what lies below it, each disjoint-set with the
+mask of what meets it in zero, and the covers of each constrained set
+(the AND of the two masks), and a scan pairs them as it goes.  Only
+prescribed values and cover joins are per map, and they run on positions
+and the codomain's atom masks: the prescribed value is
+`unit & img[x] & ~img[y]...`, a cover join the OR of its images.
+Element names stay at the edges: arguments, witnesses and the name-level
+API.
 """
 
 from __future__ import annotations
@@ -308,39 +311,48 @@ def _instances(semilattice, kind, minimal_only=True):
 
     Gives (above, disjoint, constrained set, covers) in graded-lex order,
     by domain position: the constrained set is a bitset, the rest are
-    position tuples.  "cover-to-join": each singleton above, nothing
-    disjoint.  "reduced": the empty set and the singletons above,
+    position tuples.  "reduced": the empty set and the singletons above,
     antichains disjoint.  "all": every subset for both (the oracle).
+    "cover-to-join": the reduced singletons above, nothing disjoint.
     Covers are the inclusion-minimal ones, or all without minimal_only.
-    Instances are built when a scan first reaches them (a failing scan
-    stops building) and kept in `semilattice._scans`: by position under
-    (kind, minimal_only), covers under (constrained set, minimal_only).
-    Each update is one idempotent `setdefault`, so interleaved scans agree.
+
+    No instance is stored.  `semilattice._scans` keeps, under "reduced"
+    and "all", each above-set with the AND of its down-sets and each
+    disjoint-set with the AND of its meet-zero sets, all built on the
+    first scan of the kind; the constrained set is the AND of the two.
+    Under `minimal_only` it keeps a dict from constrained set to covers,
+    filled when a scan first reaches the set (a failing scan stops
+    filling).  Each update is one idempotent `setdefault`, so interleaved
+    scans agree.
     """
     E, scans = semilattice, semilattice._scans
-    if (kind, minimal_only) not in scans:
+    sets_kind = "all" if kind == "all" else "reduced"
+    sets = scans.get(sets_kind)
+    if sets is None:
         n = len(E.elements)
-        if kind == "cover-to-join":
-            aboves, disjoints = [(x,) for x in range(n)], [()]
-        elif kind == "reduced":
+        if sets_kind == "reduced":
             aboves = [()] + [(x,) for x in range(n)]
             disjoints = [tuple(E._index[y] for y in ys) for ys in antichains(E)]
         else:
             aboves = disjoints = list(_graded_subsets(range(n)))
-        scans.setdefault((kind, minimal_only), ({}, aboves, disjoints))
-    built, aboves, disjoints = scans[kind, minimal_only]
-    width = len(disjoints)
-    for i in range(len(aboves) * width):
-        instance = built.get(i)
-        if instance is None:
-            xs, ys = aboves[i // width], disjoints[i % width]
-            family = _constrained(E, xs, ys)
-            covers = scans.get((family, minimal_only))
-            if covers is None:
-                covers = scans.setdefault((family, minimal_only), tuple(
-                    _covers(E, family, minimal_only)))
-            instance = built.setdefault(i, (xs, ys, family, covers))
-        yield instance
+        sets = scans.setdefault(sets_kind, (
+            tuple((xs, _constrained(E, xs, ())) for xs in aboves),
+            tuple((ys, _constrained(E, (), ys)) for ys in disjoints)))
+    aboves, disjoints = sets
+    if kind == "cover-to-join":
+        aboves, disjoints = aboves[1:], disjoints[:1]
+    table = scans.get(minimal_only)
+    if table is None:
+        table = scans.setdefault(minimal_only, {})
+    for xs, below in aboves:
+        for ys, apart in disjoints:
+            family = below & apart
+            try:
+                covers = table[family]
+            except KeyError:
+                covers = table.setdefault(
+                    family, tuple(_covers(E, family, minimal_only)))
+            yield xs, ys, family, covers
 
 
 def _prescribed_mask(img, unit, above, disjoint):

@@ -293,6 +293,44 @@ def test_second_scan_of_a_semilattice_builds_no_instance(monkeypatch, p2):
     assert len(calls) == built
 
 
+def counted_constrained(monkeypatch):
+    real = representations._constrained
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(representations, "_constrained", counting)
+    return calls
+
+
+def test_cover_to_join_reads_the_sets_of_the_reduced_scan(monkeypatch, p2):
+    calls = counted_constrained(monkeypatch)
+    reps = list(enumerate_representations(make_diamond(), p2))
+    for rep in reps:
+        is_tight(rep)
+    assert calls
+    built = len(calls)
+    for rep in reps:
+        is_cover_to_join(rep)
+        is_cover_to_join(rep, minimal_only=False)
+    assert len(calls) == built
+
+
+def test_all_cover_scans_reuse_the_sets_of_the_minimal_scans(monkeypatch, p2):
+    calls = counted_constrained(monkeypatch)
+    reps = list(enumerate_representations(make_diamond(), p2))
+    for rep in reps:
+        is_tight(rep)
+        is_tight(rep, reduced=False)
+    assert calls
+    built = len(calls)
+    for rep in reps:
+        is_tight(rep, minimal_only=False)
+        is_tight(rep, reduced=False, minimal_only=False)
+    assert len(calls) == built
+
+
 def test_failing_scan_stops_building_at_its_first_instance(monkeypatch):
     # zero plus six atoms: the zero map into P(1) fails the reduced scan at
     # its first instance (nothing above, nothing disjoint), so the scan
