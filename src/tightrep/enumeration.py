@@ -64,7 +64,7 @@ class UniverseSpec:
     """Bounds for a search universe.
 
     Semilattices of every size from 1 up to max_semilattice_size are
-    paired with one powerset codomain per entry of atom_counts.
+    paired with one powerset codomain per atom count; no count repeats.
     """
     max_semilattice_size: int
     atom_counts: tuple[int, ...]
@@ -78,6 +78,9 @@ class UniverseSpec:
             raise ValidationError("atom counts must be nonnegative")
         if any(k > MAX_ATOMS for k in self.atom_counts):
             raise ValidationError(f"atom counts must be at most {MAX_ATOMS}")
+        for i, k in enumerate(self.atom_counts):
+            if k in self.atom_counts[:i]:
+                raise ValidationError(f"atom count {k} is repeated")
 
 
 @dataclass(frozen=True)
@@ -286,8 +289,7 @@ def enumerate_representations(semilattice: FiniteMeetSemilattice,
 
 def _universe(spec: UniverseSpec):
     """Each semilattice of the universe with its codomains, one per atom count."""
-    algebras = {k: powerset_algebra(k) for k in spec.atom_counts}
-    codomains = [algebras[k] for k in spec.atom_counts]
+    codomains = [powerset_algebra(k) for k in spec.atom_counts]
     for n in range(1, spec.max_semilattice_size + 1):
         for E in enumerate_semilattices(n, spec.up_to_iso):
             yield E, codomains

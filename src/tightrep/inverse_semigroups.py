@@ -78,12 +78,6 @@ class FiniteInverseSemigroup(_TableStructure):
                 raise ValidationError(f"zero not absorbing at {els[a]}")
         return tuple(inv)
 
-    def index(self, a: str) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise ValidationError(f"unknown element '{a}'") from None
-
     def mul(self, a: str, b: str) -> str:
         return self.elements[self._mul[self.index(a)][self.index(b)]]
 

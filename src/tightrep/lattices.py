@@ -90,13 +90,15 @@ def _join_mask(masks) -> int:
 
 
 class _TableStructure:
-    """Reading, `sort` and the cold dunders shared by the table-defined
-    structures.
+    """Reading, `index`, `sort` and the cold dunders shared by the
+    table-defined structures.
 
-    Each subclass defines its own operations (`meet`, `index` and the
-    like), even where the code is the same.  The benchmark's op counter
-    wraps the operations it finds in each class's own namespace, so an
-    operation moved here would drop out of its count.  The scans of the
+    The benchmark's op counter wraps the operations it finds in each
+    lattice class's own namespace, so an operation defined only here
+    would drop out of its count.  The lattice classes therefore bind
+    `index` under their own name (`index = _TableStructure.index`) and
+    keep their own `meet` and `leq`; the inverse semigroup, which the
+    counter does not wrap, inherits `index`.  The scans of the
     representation layer call none of them: they run on positions and
     masks.
     """
@@ -119,6 +121,12 @@ class _TableStructure:
 
     def __contains__(self, a):
         return a in self._index
+
+    def index(self, a: str) -> int:
+        try:
+            return self._index[a]
+        except KeyError:
+            raise ValidationError(f"unknown element '{a}'") from None
 
     def sort(self, xs: Iterable[str]) -> tuple[str, ...]:
         """The given elements in declared order (deduplicated)."""
@@ -168,11 +176,7 @@ class FiniteMeetSemilattice(_TableStructure):
             if m[z][i] != z:
                 raise ValidationError(f"zero not absorbing at {els[i]}")
 
-    def index(self, a: str) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise ValidationError(f"unknown element '{a}'") from None
+    index = _TableStructure.index
 
     def meet(self, a: str, b: str) -> str:
         return self.elements[self._meet[self.index(a)][self.index(b)]]
@@ -320,11 +324,7 @@ class FiniteGenBoolAlg(_TableStructure):
     def members(self) -> frozenset[str]:
         return frozenset(self.elements)
 
-    def index(self, a: str) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise ValidationError(f"unknown element '{a}'") from None
+    index = _TableStructure.index
 
     def meet(self, a: str, b: str) -> str:
         return self._mask_names[

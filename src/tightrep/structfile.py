@@ -20,10 +20,12 @@ whitespace-separated element names, and maps follow `map:` as lines
     0 -> 0
     1 -> 1
 
-Cross-references (domain:/codomain:) must name earlier blocks.  Every
-block is validated as it is parsed; the first failure is reported with
-its line number.  Rendering is canonical, so parse–render round-trips
-are byte-stable.
+A block holds each directive of its kind exactly once (tables after
+`elements:`, `map:` last); any other directive, or a repeat, is an
+error at its line.  Cross-references (domain:/codomain:) must name
+earlier blocks.  Every block is validated as it is parsed; the first
+failure is reported with its line number.  Rendering is canonical, so
+parse–render round-trips are byte-stable.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ _MAP_KINDS = {
     "representation": (Representation, "semilattice", "algebra"),
     "homomorphism": (ISHomomorphism, "inverse_semigroup", "inverse_semigroup"),
 }
+# the directives, in file order, of each block kind (a table kind's are
+# its class's constructor arguments)
+_DIRECTIVES = {kind: ("elements", "zero", *labels)
+               for kind, (_, labels) in _TABLE_KINDS.items()}
+_DIRECTIVES.update(dict.fromkeys(_MAP_KINDS, ("domain", "codomain", "map")))
+_KNOWN_DIRECTIVES = set().union(*_DIRECTIVES.values())
 
 
 @dataclass
@@ -164,9 +172,8 @@ def _parse_block(cursor, blocks_so_far):
     if name in blocks_so_far:
         raise ParseError(lineno, f"duplicate structure name '{name}'")
 
+    directives = _DIRECTIVES[kind]
     fields = {}
-    tables = {}
-    mapping = None
     while True:
         found = cursor.peek()
         if found is None or found[1].startswith("@"):
@@ -177,33 +184,33 @@ def _parse_block(cursor, blocks_so_far):
         if directive is None:
             raise ParseError(dline, f"expected 'key: value', got '{dcontent}'")
         key, value = directive
+        if key not in directives:
+            if key in _KNOWN_DIRECTIVES:
+                raise ParseError(dline, f"'{key}:' does not belong in @{kind}")
+            raise ParseError(dline, f"unknown directive '{key}:'")
+        if key in fields:
+            raise ParseError(dline, f"duplicate '{key}:'")
         if key == "elements":
-            fields["elements"] = value.split()
-            if not fields["elements"]:
+            value = value.split()
+            if not value:
                 raise ParseError(dline, "elements list is empty")
         elif key in ("zero", "domain", "codomain"):
-            if not value or len(value.split()) != 1:
+            if len(value.split()) != 1:
                 raise ParseError(dline, f"'{key}:' takes exactly one name")
-            fields[key] = value
-        elif key in ("meet", "join", "mul"):
+        elif key == "map":
+            if value:
+                raise ParseError(dline, "'map:' starts its entries on its own line")
+            value = _parse_map(cursor)
+        else:   # a table
             if value:
                 raise ParseError(dline, f"'{key}:' starts a table on its own line")
             if "elements" not in fields:
                 raise ParseError(dline, f"'{key}:' requires elements first")
-            tables[key] = _parse_table(cursor, len(fields["elements"]), key, dline)
-        elif key == "map":
-            if value:
-                raise ParseError(dline, "'map:' starts its entries on its own line")
-            mapping = _parse_map(cursor)
-        else:
-            raise ParseError(dline, f"unknown directive '{key}:'")
-
-    def need(*keys):
-        for k in keys:
-            present = (k in fields or k in tables
-                       or (k == "map" and mapping is not None))
-            if not present:
-                raise ParseError(lineno, f"@{kind} {name} is missing '{k}:'")
+            value = _parse_table(cursor, len(fields["elements"]), key, dline)
+        fields[key] = value
+    for key in directives:
+        if key not in fields:
+            raise ParseError(lineno, f"@{kind} {name} is missing '{key}:'")
 
     def resolve(ref_key, wanted_kinds):
         ref = fields[ref_key]
@@ -219,17 +226,13 @@ def _parse_block(cursor, blocks_so_far):
 
     try:
         if kind in _TABLE_KINDS:
-            cls, labels = _TABLE_KINDS[kind]
-            need("elements", "zero", *labels)
-            structure = cls(fields["elements"], fields["zero"],
-                            *(tables[label] for label in labels))
+            structure = _TABLE_KINDS[kind][0](*(fields[k] for k in directives))
             refs = {}
         else:
             cls, dom_kind, cod_kind = _MAP_KINDS[kind]
-            need("domain", "codomain", "map")
             dom = resolve("domain", (dom_kind,))
             cod = resolve("codomain", (cod_kind,))
-            structure = cls(dom.structure, cod.structure, mapping)
+            structure = cls(dom.structure, cod.structure, fields["map"])
             refs = {"domain": dom.name, "codomain": cod.name}
     except ValidationError as err:
         raise ParseError(lineno, f"in @{kind} {name}: {err}") from err

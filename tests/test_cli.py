@@ -126,6 +126,20 @@ def test_validate_rejects_broken_tables(capsys, tmp_path):
     assert "not commutative at (a, b)" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("@semilattice E\nelements: 0 1\nzero: 1\nzero: 0\nmeet:\n0 0\n0 1\n",
+     "line 4: duplicate 'zero:'"),
+    ("@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 0\n0 1\njoin:\n0 1\n1 1\n",
+     "line 7: 'join:' does not belong in @semilattice"),
+], ids=["repeated", "foreign"])
+def test_validate_rejects_a_misplaced_directive_at_its_line(capsys, tmp_path,
+                                                            text, message):
+    path = tmp_path / "bad.struct"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_validate_rejects_empty_files(capsys, tmp_path):
     path = tmp_path / "empty.struct"
     path.write_text("# nothing here\n", encoding="utf-8")
@@ -442,6 +456,15 @@ def test_verify_refuses_too_many_atoms_before_building(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: atom counts must be at most 8\n"
+
+
+@pytest.mark.parametrize("command", ["search-gap", "verify"])
+def test_a_repeated_atom_count_is_refused(capsys, command):
+    code, out, err = run(capsys, command, "--max-e", "2",
+                         "--atoms", "1", "--atoms", "2", "--atoms", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: atom count 1 is repeated\n"
 
 
 @pytest.mark.parametrize("argv, message", [

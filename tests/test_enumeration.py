@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -15,6 +16,7 @@ from tightrep import (
     enumerate_representations,
     enumerate_semilattices,
     is_cover_to_join,
+    is_nondegenerate,
     is_tight,
     powerset_algebra,
     principal_ideal,
@@ -277,6 +279,102 @@ def test_representation_stream_matches_brute_oracle():
                     assert got == brute_representation_maps(D, B)
 
 
+# -- closed-form oracles ---------------------------------------------------------------
+#
+# A representation into a view with k atoms is one character per atom a,
+# x -> [a <= image(x)], and a character is the indicator of a filter: empty,
+# or the up-set of a nonzero element.  The tight filters of a finite
+# semilattice are its ultrafilters, the up-sets of its minimal nonzero
+# elements.  So there are n^k representations of an n-element semilattice,
+# and each verdict is a condition on the characters.  These oracles read
+# characters, minimal elements and up-sets from names with `leq` alone and
+# use none of the scan code.
+
+def minimal_nonzero(S):
+    """The nonzero elements of a semilattice or view with nothing nonzero below."""
+    nonzero = [x for x in S.elements if x != S.zero]
+    return [m for m in nonzero
+            if not any(x != m and S.leq(x, m) for x in nonzero)]
+
+
+def up_set(E, m):
+    return frozenset(x for x in E.elements if E.leq(m, x))
+
+
+def characters(rep):
+    """One character per atom of the view, each as the set it indicates."""
+    B = rep.codomain
+    return [frozenset(x for x in rep.domain.elements if B.leq(a, rep.image(x)))
+            for a in minimal_nonzero(B)]
+
+
+def closed_form_verdicts(rep):
+    """(cover-to-join, tight, non-degenerate), read off the characters."""
+    ultrafilters = {up_set(rep.domain, m) for m in minimal_nonzero(rep.domain)}
+    chars = characters(rep)
+    return (all(not c or c in ultrafilters for c in chars),
+            all(c in ultrafilters for c in chars),
+            all(chars))
+
+
+def check_against_characters(E, B, *, oracle=False):
+    """Check each map's verdicts, and with `oracle` the all-subsets tight
+    scan's, against its characters; return the number of maps."""
+    count = 0
+    for count, rep in enumerate(enumerate_representations(E, B), 1):
+        expected = closed_form_verdicts(rep)
+        got = (is_cover_to_join(rep).ok, is_tight(rep).ok,
+               is_nondegenerate(rep).ok)
+        assert got == expected, rep
+        if oracle:
+            assert is_tight(rep, reduced=False, minimal_only=False).ok \
+                == expected[1], rep
+    return count
+
+
+def test_small_views_have_n_to_the_k_maps_with_the_characters_verdicts():
+    p3 = powerset_algebra(3)
+    codomains = ([powerset_algebra(k) for k in range(4)]
+                 + [principal_ideal(p3, e) for e in p3.elements])
+    for n in range(1, 5):
+        for E in enumerate_semilattices(n):
+            for D in (E, reversed_declaration(E)):
+                for B in codomains:
+                    k = len(minimal_nonzero(B))
+                    assert check_against_characters(D, B, oracle=True) == n ** k
+
+
+def test_verdicts_match_the_characters_up_to_iso_into_p3():
+    p3 = powerset_algebra(3)
+    for n in range(1, 7):
+        for E in enumerate_semilattices(n, up_to_iso=True):
+            check_against_characters(E, p3)
+
+
+def semilattice_key(E):
+    return E.elements, index_table(E)
+
+
+@pytest.mark.parametrize("spec, found", [
+    (UniverseSpec(5, (2,)), 830),
+    (UniverseSpec(6, (2,), up_to_iso=True), 314),
+    (UniverseSpec(5, (3,), up_to_iso=True), 420),
+], ids=["labeled-5-p2", "iso-6-p2", "iso-5-p3"])
+def test_gap_count_per_semilattice_is_closed_form(spec, found):
+    # with m minimal nonzero elements, (m+1)^k maps are cover-to-join,
+    # m^k of them are tight, and one more is the zero-range map
+    expected = {}
+    for n in range(1, spec.max_semilattice_size + 1):
+        for E in enumerate_semilattices(n, spec.up_to_iso):
+            m = len(minimal_nonzero(E))
+            count = sum((m + 1) ** k - m ** k - 1 for k in spec.atom_counts)
+            if count:
+                expected[semilattice_key(E)] = count
+    got = Counter(semilattice_key(g.semilattice) for g in search_gap(spec))
+    assert dict(got) == expected
+    assert sum(expected.values()) == found
+
+
 # -- gap search ------------------------------------------------------------------------------
 
 def test_search_gap_empty_streams():
@@ -357,6 +455,15 @@ def test_universe_spec_validation():
         UniverseSpec(2, ())
     with pytest.raises(ValidationError):
         UniverseSpec(2, (-1,))
+
+
+def test_a_repeated_atom_count_is_refused():
+    # each count names one codomain; a repeat would scan it twice
+    with pytest.raises(ValidationError, match="atom count 2 is repeated"):
+        UniverseSpec(3, (2, 1, 2))
+    with pytest.raises(ValidationError, match="atom count 0 is repeated"):
+        UniverseSpec(1, (0, 0), up_to_iso=True)
+    assert UniverseSpec(3, (2, 1, 0)).atom_counts == (2, 1, 0)
 
 
 def test_atom_counts_above_the_bound_are_refused():

@@ -134,6 +134,48 @@ def test_header_and_directive_errors():
         parse("@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 0\n")
 
 
+# the semilattice E and the algebra B of the counterexample: lines 1-23
+STRUCTURES = COUNTEREXAMPLE[:COUNTEREXAMPLE.index("@representation")]
+REP_HEAD = STRUCTURES + "@representation pi\n"     # line 24
+
+
+@pytest.mark.parametrize("text, message", [
+    ("@semilattice E\nelements: 0 1\nelements: 0 1\n",
+     "line 3: duplicate 'elements:'"),
+    ("@semilattice E\nelements: 0 1\nzero: 1\nzero: 0\nmeet:\n0 0\n0 1\n",
+     "line 4: duplicate 'zero:'"),
+    # a broken table and then a good one
+    ("@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 1\n1 1\nmeet:\n0 0\n0 1\n",
+     "line 7: duplicate 'meet:'"),
+    (STRUCTURES.replace("join:", "join:\n0 1 2 12\n1 1 12 12\n2 12 2 12\n"
+                                 "12 12 12 12\njoin:"),
+     "line 23: duplicate 'join:'"),
+    (REP_HEAD + "domain: E\ndomain: E\n", "line 26: duplicate 'domain:'"),
+    (REP_HEAD + "domain: E\ncodomain: B\ncodomain: B\n",
+     "line 27: duplicate 'codomain:'"),
+], ids=["elements", "zero", "meet", "join", "domain", "codomain"])
+def test_a_repeated_directive_is_reported_at_its_line(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 0\n0 1\njoin:\n0 1\n1 1\n",
+     "line 7: 'join:' does not belong in @semilattice"),
+    ("@semilattice E\nelements: 0\nzero: 0\ndomain: X\nmeet:\n0\n",
+     "line 4: 'domain:' does not belong in @semilattice"),
+    ("@algebra B\nelements: 0\nmap:\n0 -> 0\n",
+     "line 3: 'map:' does not belong in @algebra"),
+    (REP_HEAD + "domain: E\ncodomain: B\nmeet:\n0 0\n0 1\n",
+     "line 27: 'meet:' does not belong in @representation"),
+    (REP_HEAD + "elements: 0 1\n",
+     "line 25: 'elements:' does not belong in @representation"),
+], ids=["join", "domain", "map", "meet", "elements"])
+def test_a_directive_of_another_kind_is_reported_at_its_line(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
 def test_map_entry_errors():
     with pytest.raises(ParseError, match="expected 'x -> y'"):
         parse("@semilattice E\nelements: 0\nzero: 0\nmeet:\n0\n\n"
