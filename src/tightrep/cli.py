@@ -36,6 +36,7 @@ from .structfile import (
     parse,
     render,
     render_block,
+    _lines,
 )
 
 
@@ -98,7 +99,7 @@ def _read_structures(path) -> StructureFile:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        line = len((data[:err.start].decode("utf-8") + "x").splitlines())
+        line = len(_lines(data[:err.start].decode("utf-8")))
         raise CliInputError(
             f"line {line}: not valid UTF-8 (byte 0x{data[err.start]:02x} "
             f"at offset {err.start})") from None
@@ -139,7 +140,6 @@ def cmd_tighten(args) -> int:
             f"'{block.name}' is @{block.kind}, need a representation or homomorphism")
     domain_block = sf[block.refs["domain"]]
     corner_name = block.refs["codomain"] + "_tightened"
-    print(f"unit: {tightening.unit}")
     blocks = [
         domain_block,
         Block(corner_kind, corner_name, 0, corner, {}),
@@ -147,6 +147,7 @@ def cmd_tighten(args) -> int:
               {"domain": domain_block.name, "codomain": corner_name}),
     ]
     Path(args.out).write_text(render(StructureFile(blocks)), encoding="utf-8")
+    print(f"unit: {tightening.unit}")
     print(f"wrote: {args.out}")
     return 0
 
@@ -175,7 +176,7 @@ def cmd_search_gap(args) -> int:
         found += 1
         E = gap.semilattice
         meet_rows = " | ".join(
-            " ".join(E.meet(a, b) for b in E.elements) for a in E.elements)
+            " ".join(E.elements[v] for v in row) for row in E._meet)
         atoms = len(gap.algebra).bit_length() - 1
         w = gap.report.tight.witness
         print(f"gap: {found}")

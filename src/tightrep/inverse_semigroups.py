@@ -41,9 +41,11 @@ class FiniteInverseSemigroup(_TableStructure):
     derived inverse table is stored.
     """
 
+    _TABLES = ("mul",)
+
     def __init__(self, elements: Sequence[str], zero: str,
                  mul: Sequence[Sequence[str]]):
-        (self._mul,) = self._read(elements, zero, mul=mul)
+        (self._mul,) = self._read(elements, zero, mul)
         self._inv = self._check_axioms()
         self._gbis = None   # cached outcome of the Boolean-idempotents check
         self._idempotents = None    # cached idempotent semilattice

@@ -39,8 +39,12 @@ class InvariantError(RuntimeError):
 
 
 def _unique_elements(elements: Sequence[str]) -> tuple[str, ...]:
+    """The names as a tuple, each one token that a structure file can carry."""
     seen = set()
     for e in elements:
+        if not isinstance(e, str) or e.split() != [e] or "#" in e:
+            raise ValidationError(f"element name {e!r} is not one token "
+                                  "without whitespace or '#'")
         if e in seen:
             raise ValidationError(f"duplicate element '{e}'")
         seen.add(e)
@@ -103,15 +107,15 @@ class _TableStructure:
     masks.
     """
 
-    def _read(self, elements, zero, **tables):
-        """Set elements, their index and zero; return the tables in index form."""
+    def _read(self, elements, zero, *tables):
+        """Set elements, index and zero; return the `_TABLES` in index form."""
         self.elements = _unique_elements(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if zero not in self._index:
             raise ValidationError(f"zero '{zero}' is not a listed element")
         self.zero = zero
         return [_read_table(self.elements, self._index, rows, label)
-                for label, rows in tables.items()]
+                for label, rows in zip(self._TABLES, tables)]
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.elements)!r}, zero={self.zero!r})"
@@ -145,9 +149,11 @@ class FiniteMeetSemilattice(_TableStructure):
     canonical order used for all emitted sets and witnesses.
     """
 
+    _TABLES = ("meet",)
+
     def __init__(self, elements: Sequence[str], zero: str,
                  meet: Sequence[Sequence[str]]):
-        (self._meet,) = self._read(elements, zero, meet=meet)
+        (self._meet,) = self._read(elements, zero, meet)
         self._check_axioms()
         z = self._index[zero]
         self._down = tuple(sum(1 << j for j, v in enumerate(row) if v == j)
@@ -209,9 +215,11 @@ class FiniteGenBoolAlg(_TableStructure):
     view a computation runs against (the full algebra or an IdealView).
     """
 
+    _TABLES = ("meet", "join")
+
     def __init__(self, elements: Sequence[str], zero: str,
                  meet: Sequence[Sequence[str]], join: Sequence[Sequence[str]]):
-        self._meet, self._join = self._read(elements, zero, meet=meet, join=join)
+        self._meet, self._join = self._read(elements, zero, meet, join)
         self._check_axioms()
         self._check_complements()
         top = 0

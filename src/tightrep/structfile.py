@@ -4,7 +4,11 @@ A file is a sequence of named blocks.  Each block starts with a header
 line `@kind NAME` and carries key/value directives; operation tables
 follow their `meet:` / `join:` / `mul:` line as n rows of n
 whitespace-separated element names, and maps follow `map:` as lines
-`x -> y`.  `#` starts a comment, blank lines separate blocks.  Example:
+`x -> y`.  Lines end at LF, CR LF or CR only; `#` starts a comment that
+runs to the end of its line, and blank lines separate blocks.  An
+element name is one token without whitespace or `#`; a map line cannot
+name an element that contains `->`, nor a domain element that starts
+with `@`.  Example:
 
     @semilattice E
     elements: 0 1
@@ -45,12 +49,10 @@ class ParseError(ValueError):
 
 BLOCK_KINDS = ("semilattice", "algebra", "representation",
                "inverse_semigroup", "homomorphism")
-# the class and the tables, in file order, of each table-defined kind
-_TABLE_KINDS = {
-    "semilattice": (FiniteMeetSemilattice, ("meet",)),
-    "algebra": (FiniteGenBoolAlg, ("meet", "join")),
-    "inverse_semigroup": (FiniteInverseSemigroup, ("mul",)),
-}
+# the class of each table-defined kind; it names its tables in `_TABLES`
+_TABLE_KINDS = {"semilattice": FiniteMeetSemilattice,
+                "algebra": FiniteGenBoolAlg,
+                "inverse_semigroup": FiniteInverseSemigroup}
 # the class and the domain and codomain kinds of each map kind
 _MAP_KINDS = {
     "representation": (Representation, "semilattice", "algebra"),
@@ -58,8 +60,8 @@ _MAP_KINDS = {
 }
 # the directives, in file order, of each block kind (a table kind's are
 # its class's constructor arguments)
-_DIRECTIVES = {kind: ("elements", "zero", *labels)
-               for kind, (_, labels) in _TABLE_KINDS.items()}
+_DIRECTIVES = {kind: ("elements", "zero", *cls._TABLES)
+               for kind, cls in _TABLE_KINDS.items()}
 _DIRECTIVES.update(dict.fromkeys(_MAP_KINDS, ("domain", "codomain", "map")))
 _KNOWN_DIRECTIVES = set().union(*_DIRECTIVES.values())
 
@@ -93,28 +95,27 @@ class StructureFile:
         return name in self.by_name
 
 
-class _Cursor:
-    def __init__(self, text):
-        self.lines = text.splitlines()
-        self.pos = 0
+def _lines(text: str) -> list[str]:
+    r"""The lines of a text, broken only at "\n", "\r\n" and "\r"."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
-    def peek(self):
-        """Next meaningful line as (lineno, stripped content), or None."""
-        i = self.pos
-        while i < len(self.lines):
-            content = self.lines[i].split("#", 1)[0].strip()
-            if content:
-                return i + 1, content
-            i += 1
-        return None
+
+class _Cursor:
+    """A text's meaningful lines, as (lineno, content without its comment),
+    kept last line first so that taking one pops it."""
+
+    def __init__(self, text):
+        self.rest = [(i, content) for i, line in enumerate(_lines(text), 1)
+                     if (content := line.split("#", 1)[0].strip())][::-1]
 
     def take(self):
-        found = self.peek()
-        if found is None:
-            return None
-        lineno, content = found
-        self.pos = lineno
-        return lineno, content
+        """The next line, or None at the end."""
+        return self.rest.pop() if self.rest else None
+
+    def body(self):
+        """Take the lines up to the next block header."""
+        while self.rest and not self.rest[-1][1].startswith("@"):
+            yield self.rest.pop()
 
 
 def _parse_table(cursor, n, label, header_line):
@@ -135,18 +136,14 @@ def _parse_table(cursor, n, label, header_line):
 
 def _parse_map(cursor):
     entries = {}
-    while True:
-        found = cursor.peek()
-        if found is None or found[1].startswith("@"):
-            return entries
-        lineno, content = found
-        cursor.take()
+    for lineno, content in cursor.body():
         parts = [p.strip() for p in content.split("->")]
         if len(parts) != 2 or not all(parts):
             raise ParseError(lineno, f"expected 'x -> y', got '{content}'")
         if parts[0] in entries:
             raise ParseError(lineno, f"duplicate map entry for '{parts[0]}'")
         entries[parts[0]] = parts[1]
+    return entries
 
 
 def _directive(content):
@@ -174,12 +171,7 @@ def _parse_block(cursor, blocks_so_far):
 
     directives = _DIRECTIVES[kind]
     fields = {}
-    while True:
-        found = cursor.peek()
-        if found is None or found[1].startswith("@"):
-            break
-        dline, dcontent = found
-        cursor.take()
+    for dline, dcontent in cursor.body():
         directive = _directive(dcontent)
         if directive is None:
             raise ParseError(dline, f"expected 'key: value', got '{dcontent}'")
@@ -226,7 +218,7 @@ def _parse_block(cursor, blocks_so_far):
 
     try:
         if kind in _TABLE_KINDS:
-            structure = _TABLE_KINDS[kind][0](*(fields[k] for k in directives))
+            structure = _TABLE_KINDS[kind](*(fields[k] for k in directives))
             refs = {}
         else:
             cls, dom_kind, cod_kind = _MAP_KINDS[kind]
@@ -243,15 +235,11 @@ def _parse_block(cursor, blocks_so_far):
 def parse(text: str) -> StructureFile:
     """Parse and validate a structure file; errors carry line numbers."""
     cursor = _Cursor(text)
-    blocks = []
-    by_name = {}
-    while True:
-        block = _parse_block(cursor, by_name)
-        if block is None:
-            break
-        blocks.append(block)
-        by_name[block.name] = block
-    return StructureFile(blocks)
+    sf = StructureFile([])
+    while (block := _parse_block(cursor, sf.by_name)) is not None:
+        sf.blocks.append(block)
+        sf.by_name[block.name] = block
+    return sf
 
 
 def _render_table(out, label, elements, op):
@@ -266,7 +254,7 @@ def render_block(block: Block) -> str:
     if block.kind in _TABLE_KINDS:
         out.append("elements: " + " ".join(s.elements))
         out.append(f"zero: {s.zero}")
-        for label in _TABLE_KINDS[block.kind][1]:
+        for label in _TABLE_KINDS[block.kind]._TABLES:
             _render_table(out, label, s.elements, getattr(s, label))
     else:
         out.append(f"domain: {block.refs['domain']}")

@@ -203,6 +203,15 @@ def test_tighten_writes_the_corner_file(capsys, counterexample_path, tmp_path):
     assert "tight: pass" in out
 
 
+def test_tighten_prints_nothing_when_the_write_fails(capsys, counterexample_path,
+                                                    tmp_path):
+    code, out, err = run(capsys, "tighten", counterexample_path, "--rep", "pi",
+                         "--out", str(tmp_path / "missing" / "out.struct"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_tighten_rejects_non_cover_to_join(capsys, tmp_path):
     text = """\
 @semilattice D
@@ -525,6 +534,15 @@ def test_non_utf8_file_is_a_located_input_error(tmp_path):
         assert proc.stderr == ("error: line 2: not valid UTF-8 "
                                "(byte 0xe9 at offset 27)\n")
     assert not (tmp_path / "out.struct").exists()
+
+
+def test_a_bad_byte_after_a_form_feed_is_located_by_line_ends_only(capsys,
+                                                                  tmp_path):
+    path = tmp_path / "ff.struct"
+    path.write_bytes(b"# a\x0cb\n\xff\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert err == "error: line 2: not valid UTF-8 (byte 0xff at offset 6)\n"
 
 
 def test_invalid_spec_values(capsys):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightrep import (
     FiniteGenBoolAlg,
+    FiniteInverseSemigroup,
     FiniteMeetSemilattice,
     IdealView,
     ValidationError,
@@ -85,6 +88,14 @@ def test_duplicate_and_unknown_elements_are_rejected():
         FiniteMeetSemilattice(["0", "a"], "0", [["0", "0"], ["0", "q"]])
     with pytest.raises(ValidationError, match="zero 'z'"):
         FiniteMeetSemilattice(["0", "a"], "z", [["0", "0"], ["0", "a"]])
+
+
+@pytest.mark.parametrize("name", ["a b", "", "a\tb", " a", "a#b", 1, None])
+def test_element_names_a_file_cannot_carry_are_refused(name):
+    with pytest.raises(ValidationError, match=f"element name {re.escape(repr(name))} "):
+        FiniteMeetSemilattice(["0", name], "0", [["0", "0"], ["0", name]])
+    with pytest.raises(ValidationError, match=re.escape(repr(name))):
+        FiniteInverseSemigroup([name], name, [[name]])
 
 
 def test_wrong_arity_is_rejected():

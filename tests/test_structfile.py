@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightrep import (
+    FiniteMeetSemilattice,
     ISHomomorphism,
     ParseError,
     ValidationError,
@@ -192,6 +193,40 @@ def test_comments_and_blank_lines_are_ignored():
             "elements: 0 1\n# interior\n\nzero: 0\nmeet:\n0 0  # row\n0 1\n")
     sf = parse(text)
     assert sf["E"].structure.elements == ("0", "1")
+
+
+def test_a_form_feed_does_not_end_a_comment():
+    sf = parse("# page one\x0c still comment\n"
+               "@semilattice E\nelements: 0\nzero: 0\nmeet:\n0\n")
+    assert len(sf) == 1
+
+
+def test_a_line_separator_in_a_comment_keeps_later_lines_located():
+    text = ("@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 0\n"
+            "0 1  # x\u2028x\n\n@semilattice E\n")
+    with pytest.raises(ParseError, match="^line 8: duplicate structure name 'E'$"):
+        parse(text)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_line_ends_parse_and_locate(end):
+    sf = parse(COUNTEREXAMPLE.replace("\n", end))
+    assert render(sf) == render(parse(COUNTEREXAMPLE))
+    bad = "@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 0\n0\n"
+    with pytest.raises(ParseError, match="^line 6: expected 2 entries, got 1$"):
+        parse(bad.replace("\n", end))
+
+
+@pytest.mark.parametrize("name", ["a#b", "@a", "a->b", "a:b"])
+def test_an_element_name_is_refused_or_survives_a_round_trip(name):
+    # a name a file cannot carry must not be read back as another name
+    try:
+        E = FiniteMeetSemilattice(["0", name], "0", [["0", "0"], ["0", name]])
+    except ValidationError as err:
+        assert repr(name) in str(err)
+        return
+    sf = StructureFile([Block("semilattice", "E", 0, E, {})])
+    assert parse(render(sf))["E"].structure.elements == ("0", name)
 
 
 def test_empty_input_parses_to_no_structures():
