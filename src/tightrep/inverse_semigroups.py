@@ -6,9 +6,12 @@ and form a meet-semilattice under multiplication.  A homomorphism into a
 semigroup whose idempotent semilattice carries a generalized Boolean
 algebra is tight (or cover-to-join, or non-degenerate) exactly when its
 restriction to idempotents is, so the decision procedures reduce to the
-representation layer.  The corner construction restricts the codomain to
-the elements whose source and range projections sit below the join of
-the restricted image.
+representation layer.  The corner construction restricts the codomain T
+to uTu, where u is the join of the restricted image: the elements t with
+ut = t = tu, which are those whose source and range projections t⁻¹t
+and tt⁻¹ sit below u.  Validation, the idempotents and the corner run on
+positions in the multiplication table; names appear only in arguments,
+messages and the tables handed to the constructors.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .lattices import (
 from .representations import (
     Representation,
     TightnessReport,
+    _Map,
     tighten,
     tightness_report,
 )
@@ -46,7 +50,7 @@ class FiniteInverseSemigroup(_TableStructure):
     def __init__(self, elements: Sequence[str], zero: str,
                  mul: Sequence[Sequence[str]]):
         (self._mul,) = self._read(elements, zero, mul)
-        self._inv = self._check_axioms()
+        self._inv, self._idem = self._check_axioms()
         self._gbis = None   # cached outcome of the Boolean-idempotents check
         self._idempotents = None    # cached idempotent semilattice
 
@@ -78,7 +82,7 @@ class FiniteInverseSemigroup(_TableStructure):
         for a in rng:
             if m[z][a] != z or m[a][z] != z:
                 raise ValidationError(f"zero not absorbing at {els[a]}")
-        return tuple(inv)
+        return tuple(inv), tuple(idem)
 
     def mul(self, a: str, b: str) -> str:
         return self.elements[self._mul[self.index(a)][self.index(b)]]
@@ -91,7 +95,7 @@ class FiniteInverseSemigroup(_TableStructure):
 
     @property
     def idempotent_elements(self) -> tuple[str, ...]:
-        return tuple(e for e in self.elements if self.is_idempotent(e))
+        return tuple(self.elements[a] for a in self._idem)
 
     def idempotent_semilattice(self) -> FiniteMeetSemilattice:
         """The idempotents under multiplication, as a validated semilattice.
@@ -100,9 +104,10 @@ class FiniteInverseSemigroup(_TableStructure):
         memo.
         """
         if self._idempotents is None:
-            idem = self.idempotent_elements
-            rows = [[self.mul(a, b) for b in idem] for a in idem]
-            self._idempotents = FiniteMeetSemilattice(idem, self.zero, rows)
+            els, m, idem = self.elements, self._mul, self._idem
+            rows = [[els[m[a][b]] for b in idem] for a in idem]
+            self._idempotents = FiniteMeetSemilattice(
+                self.idempotent_elements, self.zero, rows)
         return self._idempotents
 
 
@@ -164,57 +169,41 @@ def _gbis_check(E) -> GbisCheck:
     return GbisCheck(True, algebra=algebra)
 
 
-class ISHomomorphism:
+class ISHomomorphism(_Map):
     """A zero-preserving multiplicative map between inverse semigroups.
 
     The codomain's idempotent semilattice must carry a generalized
-    Boolean algebra (checked at construction).  Preservation of inverses
-    and of idempotents follows from multiplicativity; both are checked
-    rather than assumed, and a failure raises InvariantError.
+    Boolean algebra (checked at construction).  The map is read as a
+    representation's is (`_Map._read`); products are then checked on
+    positions.  Preservation of inverses and of idempotents follows from
+    multiplicativity; both are checked rather than assumed, and a failure
+    raises InvariantError.
     """
 
     def __init__(self, domain: FiniteInverseSemigroup,
                  codomain: FiniteInverseSemigroup,
                  mapping: Mapping[str, str]):
-        self.domain = domain
-        self.codomain = codomain
         check = is_generalized_boolean_inverse_semigroup(codomain)
         if not check.ok:
             raise ValidationError(
                 f"codomain is not a generalized Boolean inverse semigroup: "
                 f"{check.reason}")
         self.codomain_algebra = check.algebra
-        for s in mapping:
-            domain.index(s)
-        missing = [s for s in domain.elements if s not in mapping]
-        if missing:
-            raise ValidationError(f"map is not total: no image for '{missing[0]}'")
-        for s in domain.elements:
-            codomain.index(mapping[s])
-        if mapping[domain.zero] != codomain.zero:
-            raise ValidationError("zero not preserved")
-        for s in domain.elements:
-            for t in domain.elements:
-                if mapping[domain.mul(s, t)] != codomain.mul(mapping[s], mapping[t]):
-                    raise ValidationError(f"product not preserved at ({s}, {t})")
-        for s in domain.elements:
-            if mapping[domain.inv(s)] != codomain.inv(mapping[s]):
+        self._read(domain, codomain, mapping)
+        els, dm, cm = domain.elements, domain._mul, codomain._mul
+        img = [codomain._index[mapping[s]] for s in els]
+        for i, row in enumerate(dm):
+            for j, k in enumerate(row):
+                if img[k] != cm[img[i]][img[j]]:
+                    raise ValidationError(
+                        f"product not preserved at ({els[i]}, {els[j]})")
+        for i, s in enumerate(els):
+            if img[domain._inv[i]] != codomain._inv[img[i]]:
                 raise InvariantError(
                     f"multiplicative map failed to preserve the inverse of {s}")
-            if domain.is_idempotent(s) and not codomain.is_idempotent(mapping[s]):
+            if dm[i][i] == i and cm[img[i]][img[i]] != img[i]:
                 raise InvariantError(
                     f"multiplicative map sent idempotent {s} to a non-idempotent")
-        self.mapping = dict(mapping)
-
-    def __repr__(self):
-        pairs = ", ".join(f"{s}->{self.mapping[s]}" for s in self.domain.elements)
-        return f"ISHomomorphism({pairs})"
-
-    def image(self, s: str) -> str:
-        try:
-            return self.mapping[s]
-        except KeyError:
-            raise ValidationError(f"unknown element '{s}'") from None
 
     def restriction(self) -> Representation:
         """The restriction to idempotents, into the codomain's idempotent algebra."""
@@ -232,9 +221,10 @@ class HomomorphismTightening:
     """The corner of a cover-to-join homomorphism.
 
     `unit` is the join (in the codomain's idempotent algebra) of the
-    images of the nonzero domain idempotents; `corner` keeps the codomain
-    elements whose source and range idempotents sit below the unit; the
-    corestricted homomorphism into it is tight, as `report` records.
+    images of the nonzero domain idempotents; `corner` is uTu for that
+    unit u, the codomain elements whose source and range idempotents sit
+    below it; the corestricted homomorphism into it is tight, as `report`
+    records.
     """
     unit: str
     corner: FiniteInverseSemigroup
@@ -256,23 +246,24 @@ def tighten_homomorphism(hom: ISHomomorphism) -> HomomorphismTightening:
     a unital one).  The corestricted homomorphism is verified tight.
     """
     tightening = tighten(hom.restriction())
-    unit, algebra, T = tightening.unit, hom.codomain_algebra, hom.codomain
-    keep = [t for t in T.elements
-            if algebra.leq(T.mul(T.inv(t), t), unit)
-            and algebra.leq(T.mul(t, T.inv(t)), unit)]
-    keep_set = set(keep)
+    T, unit = hom.codomain, tightening.unit
+    els, m, inv = T.elements, T._mul, T._inv
+    u = T._index[unit]
+    # ut = t iff tt⁻¹ ≤ u, and tu = t iff t⁻¹t ≤ u
+    keep = [t for t in range(len(els)) if m[u][t] == t == m[t][u]]
+    inside = set(keep)
     for s in hom.domain.elements:
-        if hom.image(s) not in keep_set:
+        if T._index[hom.mapping[s]] not in inside:
             raise InvariantError(f"image of {s} escaped the corner below {unit}")
     for a in keep:
         for b in keep:
-            if T.mul(a, b) not in keep_set:
+            if m[a][b] not in inside:
                 raise InvariantError(
-                    f"corner not closed under products at ({a}, {b})")
-        if T.inv(a) not in keep_set:
-            raise InvariantError(f"corner not closed under inverses at {a}")
-    rows = [[T.mul(a, b) for b in keep] for a in keep]
-    corner = FiniteInverseSemigroup(keep, T.zero, rows)
+                    f"corner not closed under products at ({els[a]}, {els[b]})")
+        if inv[a] not in inside:
+            raise InvariantError(f"corner not closed under inverses at {els[a]}")
+    rows = [[els[m[a][b]] for b in keep] for a in keep]
+    corner = FiniteInverseSemigroup([els[t] for t in keep], T.zero, rows)
     if set(corner.idempotent_elements) != set(tightening.codomain.elements):
         raise InvariantError(
             "corner idempotents differ from the principal ideal below the unit")

@@ -11,8 +11,12 @@ and disjoint-sets and the covers of each constrained set, so it is
 shareable.
 
 A finite generalized Boolean algebra is the powerset of its atoms.  The
-tables are read and validated as given; then each element gets its atom
-mask (bit k for the k-th atom in declared order), and meet, join and
+tables are checked against the axioms and relative complements, which
+imply the rest: for c ≤ a with complement x below a, distributivity
+makes d = a ∨ c satisfy a ∧ d = d and d ∧ (x ∨ c) = x ∨ c = a, so
+a ∨ c = a, and join is the least upper bound.  Each element then gets
+its atom mask (bit k for the k-th atom in declared order), checked to be
+a bijection under which the tables are `&` and `|`; meet, join and
 relative complement run as `&`, `|` and `b & ~a` on ints.  `_masks`
 holds the masks by position, `_mask_names` the names by mask, and
 `_unit` the mask of the top.  The scans of the representation layer run
@@ -132,6 +136,11 @@ class _TableStructure:
         except KeyError:
             raise ValidationError(f"unknown element '{a}'") from None
 
+    @property
+    def base(self):
+        """The structure that owns the tables: itself, but an IdealView's parent."""
+        return self
+
     def sort(self, xs: Iterable[str]) -> tuple[str, ...]:
         """The given elements in declared order (deduplicated)."""
         picked = set(xs)
@@ -208,10 +217,13 @@ class FiniteGenBoolAlg(_TableStructure):
     The constructor checks the defining axioms (commutativity of both
     operations, associativity of meet, meet distributing over join,
     a ∨ 0 = a, existence and uniqueness of relative complements,
-    idempotence) and then the derived laws: join is associative, join
-    distributes over meet, both absorption laws hold, and the join of all
-    elements acts as a unit.  In the finite case every such algebra is
-    therefore unital; whether it is *used* unitally is a property of the
+    idempotence).  The other laws follow: for c ≤ a, with x the
+    complement of c below a, distributivity gives a ∧ (a ∨ c) = a ∨ c
+    and (a ∨ c) ∧ (x ∨ c) = x ∨ c, where x ∨ c = a, so a ∨ c = a; then
+    join is the least upper bound and the algebra is the powerset of its
+    atoms, which `_atom_masks` checks as an invariant.  Its top, the
+    all-atoms mask, acts as a unit, so in the finite case every such
+    algebra is unital; whether it is *used* unitally is a property of the
     view a computation runs against (the full algebra or an IdealView).
     """
 
@@ -222,13 +234,9 @@ class FiniteGenBoolAlg(_TableStructure):
         self._meet, self._join = self._read(elements, zero, meet, join)
         self._check_axioms()
         self._check_complements()
-        top = 0
-        for i in range(len(self.elements)):
-            top = self._join[top][i]
-        self.top = self.elements[top]
-        self._check_derived_laws()
         self._masks, self._mask_names = self._atom_masks()
-        self._unit = self._masks[top]
+        self._unit = len(self.elements) - 1
+        self.top = self._mask_names[self._unit]
 
     # -- validation ---------------------------------------------------
 
@@ -278,35 +286,15 @@ class FiniteGenBoolAlg(_TableStructure):
                     raise ValidationError(
                         f"relative complement not unique for {els[a]} ≤ {els[b]}")
 
-    def _check_derived_laws(self):
-        els, m, j = self.elements, self._meet, self._join
-        n = len(els)
-        t = self._index[self.top]
-        for a in range(n):
-            for b in range(n):
-                if m[a][j[a][b]] != a or j[a][m[a][b]] != a:
-                    raise ValidationError(
-                        f"absorption fails at ({els[a]}, {els[b]})")
-                for c in range(n):
-                    if j[j[a][b]][c] != j[a][j[b][c]]:
-                        raise ValidationError(
-                            f"join not associative at ({els[a]}, {els[b]}, {els[c]})")
-                    if j[a][m[b][c]] != m[j[a][b]][j[a][c]]:
-                        raise ValidationError(
-                            f"join does not distribute over meet at "
-                            f"({els[a]}, {els[b]}, {els[c]})")
-        for a in range(n):
-            if m[t][a] != a:
-                raise ValidationError(f"derived top is not a unit at {els[a]}")
-
     def _atom_masks(self):
         """Each element's atom mask by position, and the names by mask.
 
         An atom is a nonzero element whose meet with anything is zero or
         itself.  The algebra is the powerset of its atoms, so the masks
-        are a bijection onto 0..2^k - 1.
+        are a bijection onto 0..2^k - 1 under which the tables are `&`
+        and `|`; this O(n²) check ties `meet` and `join` to the tables.
         """
-        els, m = self.elements, self._meet
+        els, m, j = self.elements, self._meet, self._join
         n = len(els)
         z = self._index[self.zero]
         atoms = [a for a in range(n)
@@ -317,16 +305,15 @@ class FiniteGenBoolAlg(_TableStructure):
         for a, mask in enumerate(masks):
             if mask < n:
                 names[mask] = els[a]
-        if n != 1 << len(atoms) or None in names:
+        if n != 1 << len(atoms) or None in names or any(
+                masks[m[a][b]] != masks[a] & masks[b]
+                or masks[j[a][b]] != masks[a] | masks[b]
+                for a in range(n) for b in range(n)):
             raise InvariantError(
                 "a validated algebra is not the powerset of its atoms")
         return masks, tuple(names)
 
     # -- operations ---------------------------------------------------
-
-    @property
-    def base(self) -> "FiniteGenBoolAlg":
-        return self
 
     @property
     def members(self) -> frozenset[str]:
@@ -359,10 +346,7 @@ class FiniteGenBoolAlg(_TableStructure):
 
     def join_all(self, xs: Iterable[str]) -> str:
         """Join of any finite collection; the empty join is zero."""
-        acc = self.zero
-        for x in xs:
-            acc = self.join(acc, x)
-        return acc
+        return self._mask_names[_join_mask(self._masks[self.index(x)] for x in xs)]
 
     def meet_all(self, xs: Iterable[str]) -> str:
         """Meet of any finite collection; the empty meet is the top."""

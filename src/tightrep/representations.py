@@ -37,7 +37,6 @@ from .lattices import (
     IdealView,
     ValidationError,
     _join_mask,
-    ideal_generated_by,
     principal_ideal,
 )
 
@@ -106,16 +105,12 @@ class Tightening:
     representation: "Representation"
 
 
-class Representation:
-    """A validated map from a finite meet-semilattice into an algebra view.
+class _Map:
+    """What representations and homomorphisms share: `_read` checks the
+    domain keys, totality, that the values lie in the codomain (a view
+    or the structure itself) and that zero maps to zero."""
 
-    Checks totality, that every value lies in the codomain view, that zero
-    maps to zero, and that meets are preserved pairwise.  `_images` holds
-    the images' atom masks by domain position.
-    """
-
-    def __init__(self, domain: FiniteMeetSemilattice, codomain,
-                 mapping: Mapping[str, str]):
+    def _read(self, domain, codomain, mapping):
         self.domain = domain
         self.codomain = codomain
         for x in mapping:
@@ -130,6 +125,29 @@ class Representation:
                     f"image of '{x}' lies outside the codomain view")
         if mapping[domain.zero] != codomain.zero:
             raise ValidationError("zero not preserved")
+        self.mapping = dict(mapping)
+
+    def __repr__(self):
+        pairs = ", ".join(f"{x}->{self.mapping[x]}" for x in self.domain.elements)
+        return f"{type(self).__name__}({pairs})"
+
+    def image(self, x: str) -> str:
+        try:
+            return self.mapping[x]
+        except KeyError:
+            raise ValidationError(f"unknown element '{x}'") from None
+
+
+class Representation(_Map):
+    """A validated map from a finite meet-semilattice into an algebra view.
+
+    Reads the map (`_Map._read`) and checks that meets are preserved
+    pairwise.  `_images` holds the images' atom masks by domain position.
+    """
+
+    def __init__(self, domain: FiniteMeetSemilattice, codomain,
+                 mapping: Mapping[str, str]):
+        self._read(domain, codomain, mapping)
         masks, index, els = codomain._masks, codomain._index, domain.elements
         img = tuple(masks[index[mapping[x]]] for x in els)
         for i, row in enumerate(domain._meet):
@@ -137,18 +155,7 @@ class Representation:
                 if img[k] != img[i] & img[j]:
                     raise ValidationError(
                         f"meet not preserved at ({els[i]}, {els[j]})")
-        self.mapping = dict(mapping)
         self._images = img
-
-    def __repr__(self):
-        pairs = ", ".join(f"{x}->{self.mapping[x]}" for x in self.domain.elements)
-        return f"Representation({pairs})"
-
-    def image(self, x: str) -> str:
-        try:
-            return self.mapping[x]
-        except KeyError:
-            raise ValidationError(f"unknown element '{x}'") from None
 
     def range_elements(self) -> tuple[str, ...]:
         return self.codomain.base.sort(self.mapping.values())
@@ -415,23 +422,24 @@ def tighten(rep: Representation) -> Tightening:
     is all nonzero domain elements; for a cover-to-join representation
     the join of the images of any cover equals the join over this
     canonical one, so the construction does not depend on the choice.
-    The resulting view contains the range, and the representation read
-    into it is tight.
+    The corner is the ideal the range generates: the resulting view
+    contains the range, and the representation read into it is tight.
     """
     verdict = is_cover_to_join(rep)
     if not verdict.ok:
         raise NotCoverToJoinError(verdict.witness)
-    view = rep.codomain
-    unit = view._mask_names[_join_mask(rep._images)]
-    corner = principal_ideal(view.base, unit)
-    return Tightening(unit=unit, codomain=corner,
-                      representation=rep.with_codomain(corner))
+    corner = restrict_to_generated_ideal(rep)
+    return Tightening(unit=corner.codomain.top, codomain=corner.codomain,
+                      representation=corner)
 
 
 def restrict_to_generated_ideal(rep: Representation) -> Representation:
     """The same map into the ideal generated by its range.
 
-    The result is always non-degenerate.
+    In a finite algebra that ideal is the principal ideal below the join
+    of the range, the OR of the image masks.  The result is always
+    non-degenerate.
     """
-    ideal = ideal_generated_by(rep.codomain, rep.range_elements())
-    return rep.with_codomain(ideal)
+    view = rep.codomain
+    unit = view._mask_names[_join_mask(rep._images)]
+    return rep.with_codomain(principal_ideal(view.base, unit))

@@ -3,12 +3,13 @@
 A file is a sequence of named blocks.  Each block starts with a header
 line `@kind NAME` and carries key/value directives; operation tables
 follow their `meet:` / `join:` / `mul:` line as n rows of n
-whitespace-separated element names, and maps follow `map:` as lines
-`x -> y`.  Lines end at LF, CR LF or CR only; `#` starts a comment that
-runs to the end of its line, and blank lines separate blocks.  An
-element name is one token without whitespace or `#`; a map line cannot
-name an element that contains `->`, nor a domain element that starts
-with `@`.  Example:
+whitespace-separated element names (a block header that is not a row of
+elements ends a short table, an error at the table's line), and maps
+follow `map:` as lines `x -> y`.  Lines end at LF, CR LF or CR only; `#`
+starts a comment that runs to the end of its line, and blank lines
+separate blocks.  An element name is one token without whitespace or
+`#`; a map line cannot name an element that contains `->`, nor a domain
+element that starts with `@`.  Example:
 
     @semilattice E
     elements: 0 1
@@ -118,7 +119,15 @@ class _Cursor:
             yield self.rest.pop()
 
 
-def _parse_table(cursor, n, label, header_line):
+def _header(content):
+    """The (kind, name) of a block header line, or None."""
+    parts = content[1:].split() if content.startswith("@") else ()
+    return tuple(parts) if len(parts) == 2 and parts[0] in BLOCK_KINDS else None
+
+
+def _parse_table(cursor, elements, label, header_line):
+    """n rows of n entries; a block header with a non-element ends it early."""
+    n = len(elements)
     rows = []
     for _ in range(n):
         got = cursor.take()
@@ -127,6 +136,10 @@ def _parse_table(cursor, n, label, header_line):
                              f"{label} table needs {n} rows, file ended early")
         lineno, content = got
         entries = content.split()
+        if _header(content) and not set(entries) <= set(elements):
+            raise ParseError(
+                header_line, f"{label} table needs {n} rows, got {len(rows)} "
+                f"before the block header at line {lineno}")
         if len(entries) != n:
             raise ParseError(lineno,
                              f"expected {n} entries, got {len(entries)}")
@@ -160,12 +173,12 @@ def _parse_block(cursor, blocks_so_far):
     lineno, content = got
     if not content.startswith("@"):
         raise ParseError(lineno, f"expected a block header, got '{content}'")
-    parts = content[1:].split()
-    if len(parts) != 2 or parts[0] not in BLOCK_KINDS:
+    header = _header(content)
+    if header is None:
         kinds = ", ".join("@" + k for k in BLOCK_KINDS)
         raise ParseError(lineno,
                          f"block header must be one of {kinds} followed by a name")
-    kind, name = parts
+    kind, name = header
     if name in blocks_so_far:
         raise ParseError(lineno, f"duplicate structure name '{name}'")
 
@@ -198,7 +211,7 @@ def _parse_block(cursor, blocks_so_far):
                 raise ParseError(dline, f"'{key}:' starts a table on its own line")
             if "elements" not in fields:
                 raise ParseError(dline, f"'{key}:' requires elements first")
-            value = _parse_table(cursor, len(fields["elements"]), key, dline)
+            value = _parse_table(cursor, fields["elements"], key, dline)
         fields[key] = value
     for key in directives:
         if key not in fields:

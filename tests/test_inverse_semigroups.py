@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from tightrep import (
@@ -13,6 +17,7 @@ from tightrep import (
     check_homomorphism_tightness,
     enumerate_semilattices,
     is_generalized_boolean_inverse_semigroup,
+    parse,
     powerset_algebra,
     principal_ideal,
     representations,
@@ -221,6 +226,24 @@ def test_homomorphism_validation(i2):
         ISHomomorphism(chain2, make_b2(), {"0": "z", "1": "e1"})
 
 
+def test_homomorphism_map_messages(i2):
+    chain2 = semigroup_from_semilattice(make_chain2())
+    with pytest.raises(ValidationError,
+                       match="^map is not total: no image for '1'$"):
+        ISHomomorphism(chain2, i2, {"0": "z"})
+    with pytest.raises(ValidationError, match="^unknown element 'x'$"):
+        ISHomomorphism(chain2, i2, {"0": "z", "1": "e1", "x": "z"})
+    with pytest.raises(ValidationError, match="^unknown element 'q'$"):
+        ISHomomorphism(chain2, i2, {"0": "z", "1": "q"})
+
+
+def test_map_reprs_list_the_pairs_in_domain_order(i2):
+    hom = ISHomomorphism(semigroup_from_semilattice(make_chain2()), i2,
+                         {"1": "e1", "0": "z"})
+    assert repr(hom) == "ISHomomorphism(0->z, 1->e1)"
+    assert repr(hom.restriction()) == "Representation(0->z, 1->e1)"
+
+
 def test_identity_homomorphism_on_i2_is_tight(i2):
     report = check_homomorphism_tightness(
         ISHomomorphism(i2, i2, {s: s for s in i2.elements}))
@@ -348,3 +371,35 @@ def test_cover_to_join_corollary_over_all_test_homomorphisms():
                     result = tighten_homomorphism(hom)
                     assert result.report.tight.ok
     assert checked > 100
+
+
+# -- the homgen universe -------------------------------------------------------------
+
+def load_homgen():
+    """perfbench/homgen.py, imported read-only from the source tree."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "homgen.py"
+    spec = importlib.util.spec_from_file_location("homgen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_homgen_universe_matches_its_brute_force_verdicts_and_units():
+    """Every homomorphism from a semilattice semigroup of at most four
+    elements into I3: the verdicts are homgen's brute-force ones, and
+    the tightening unit of each cover-to-join map is the partial identity
+    on the union of its images."""
+    cases = load_homgen().all_cases()
+    assert len(cases) == 1306
+    tightened = 0
+    for case in cases:
+        hom = parse(case.text)["h"].structure
+        report = check_homomorphism_tightness(hom)
+        assert (report.cover_to_join.ok, report.tight.ok,
+                report.nondegenerate.ok) == (
+            case.cover_to_join, case.tight, case.nondegenerate), case.key
+        if case.cover_to_join:
+            tightened += 1
+            assert tighten_homomorphism(hom).unit == case.unit, case.key
+    assert tightened == 431

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,14 @@ from tightrep import (
     FiniteMeetSemilattice,
     IdealView,
     ValidationError,
+    enumerate_semilattices,
     ideal_generated_by,
     is_ideal,
     powerset_algebra,
     principal_ideal,
 )
+from tightrep.cli import main
+from tightrep.lattices import InvariantError
 
 from conftest import make_diamond, subsets_of
 
@@ -165,6 +169,63 @@ def test_four_element_chain_has_no_complements():
                  ["1", "1", "1", "1"]]
     with pytest.raises(ValidationError, match="relative complement missing"):
         FiniteGenBoolAlg(["0", "a", "b", "1"], "0", rows_meet, rows_join)
+
+
+def test_every_small_join_table_is_refused_or_read_back_by_the_masks():
+    # every labeled 4-element meet table against every commutative,
+    # idempotent join table with a neutral zero (19 x 64 candidates):
+    # what validation accepts, meet and join read back from the masks
+    accepted = 0
+    for E in enumerate_semilattices(4):
+        els = E.elements
+        meet = [[E.meet(a, b) for b in els] for a in els]
+        pairs = [(i, j) for i in range(1, 4) for j in range(i + 1, 4)]
+        for values in product(els, repeat=len(pairs)):
+            join = [[b if a == "0" else a if b == "0" or a == b else None
+                     for b in els] for a in els]
+            for (i, j), v in zip(pairs, values):
+                join[i][j] = join[j][i] = v
+            try:
+                alg = FiniteGenBoolAlg(els, "0", meet, join)
+            except ValidationError:
+                continue
+            accepted += 1
+            assert all(alg.meet(a, b) == meet[i][j] and alg.join(a, b) == join[i][j]
+                       for i, a in enumerate(els) for j, b in enumerate(els))
+    assert accepted == 3    # P(2), its top labeled 1, 2 or 3
+
+
+CHAIN4 = """\
+@algebra C
+elements: 0 a b 1
+zero: 0
+meet:
+0 0 0 0
+0 a a a
+0 a b b
+0 a b 1
+join:
+0 a b 1
+a a b 1
+b b b 1
+1 1 1 1
+"""
+
+
+def test_an_algebra_that_is_not_a_powerset_breaches_an_invariant(
+        monkeypatch, tmp_path, capsys):
+    # the 4-chain passes every axiom but the complements; without that
+    # check it reaches the powerset check, which is an invariant
+    monkeypatch.setattr(FiniteGenBoolAlg, "_check_complements", lambda self: None)
+    rows = [line.split() for line in CHAIN4.splitlines()]
+    with pytest.raises(InvariantError, match="not the powerset of its atoms"):
+        FiniteGenBoolAlg(rows[1][1:], "0", rows[4:8], rows[9:13])
+    path = tmp_path / "chain4.struct"
+    path.write_text(CHAIN4, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "internal invariant breach: "
+        "a validated algebra is not the powerset of its atoms\n")
 
 
 def test_join_commutativity_is_reported_before_meet_associativity():

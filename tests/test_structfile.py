@@ -177,6 +177,24 @@ def test_a_directive_of_another_kind_is_reported_at_its_line(text, message):
         parse(text)
 
 
+@pytest.mark.parametrize("elements, row", [("0 1", "0 0"), ("0 1 2", "0 0 0")])
+def test_a_table_cut_short_by_a_block_header_is_reported_at_the_table(elements, row):
+    text = (f"@semilattice E\nelements: {elements}\nzero: 0\nmeet:\n{row}\n\n"
+            "@algebra B\nelements: 0\nzero: 0\nmeet:\n0\njoin:\n0\n")
+    n = len(elements.split())
+    with pytest.raises(ParseError, match=(
+            f"^line 4: meet table needs {n} rows, got 1 "
+            "before the block header at line 7$")):
+        parse(text)
+
+
+def test_a_row_of_element_names_that_reads_as_a_header_stays_a_row():
+    E = FiniteMeetSemilattice(["@semilattice", "E"], "@semilattice",
+                              [["@semilattice"] * 2, ["@semilattice", "E"]])
+    sf = StructureFile([Block("semilattice", "S", 0, E, {})])
+    assert render(parse(render(sf))) == render(sf)
+
+
 def test_map_entry_errors():
     with pytest.raises(ParseError, match="expected 'x -> y'"):
         parse("@semilattice E\nelements: 0\nzero: 0\nmeet:\n0\n\n"
@@ -298,3 +316,38 @@ def test_render_then_parse_is_a_fixed_point_on_generated_files(data):
     assert render(parsed) == text
     assert [b.structure.mapping for b in parsed.blocks[2:]] == \
         [rep.mapping for rep in reps]
+
+
+def table_rows(lines):
+    """The indices of the table rows in rendered lines."""
+    rows, n = [], 0
+    for i, line in enumerate(lines):
+        if line.startswith("elements:"):
+            n = len(line.split()) - 1
+        elif line in ("meet:", "join:", "mul:"):
+            rows.extend(range(i + 1, i + 1 + n))
+    return rows
+
+
+@settings(derandomize=True, database=None)
+@given(st.data())
+def test_a_deleted_table_row_is_reported_inside_its_block(data):
+    E = data.draw(st.sampled_from(SEMILATTICES))
+    B = data.draw(st.sampled_from(ALGEBRAS))
+    F = data.draw(st.sampled_from(SEMILATTICES))
+    rep = data.draw(st.sampled_from(list(enumerate_representations(E, B))))
+    text = data.draw(st.sampled_from([
+        render(StructureFile([
+            Block("semilattice", "E", 0, E, {}), Block("algebra", "B", 0, B, {}),
+            Block("representation", "pi", 0, rep, {"domain": "E", "codomain": "B"}),
+            Block("semilattice", "F", 0, F, {})])),
+        render(homomorphism_file())]))
+    lines = text.split("\n")
+    cut = data.draw(st.sampled_from(table_rows(lines)))
+    damaged = lines[:cut] + lines[cut + 1:]
+    headers = [i + 1 for i, line in enumerate(damaged) if line.startswith("@")]
+    start = max(h for h in headers if h <= cut)
+    end = min([h - 1 for h in headers if h > cut] + [len(damaged)])
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(damaged))
+    assert start <= err.value.line <= end, (cut + 1, str(err.value))
