@@ -76,13 +76,12 @@ def _report_lines(name: str, view: str, rep: Representation,
     return lines
 
 
-def _representation_of(block: Block) -> Representation:
-    if block.kind == "representation":
-        return block.structure
-    if block.kind == "homomorphism":
-        return block.structure.restriction()
-    raise CliInputError(
-        f"'{block.name}' is @{block.kind}, need a representation or homomorphism")
+def _map_block(sf: StructureFile, name: str) -> Block:
+    block = sf[name]
+    if block.kind not in ("representation", "homomorphism"):
+        raise CliInputError(
+            f"'{name}' is @{block.kind}, need a representation or homomorphism")
+    return block
 
 
 def _apply_view(rep: Representation, view: str) -> Representation:
@@ -116,8 +115,11 @@ def cmd_validate(args) -> int:
 
 def cmd_check(args) -> int:
     sf = _read_structures(args.path)
-    block = sf[args.rep]
-    rep = _apply_view(_representation_of(block), args.view)
+    block = _map_block(sf, args.rep)
+    rep = block.structure
+    if block.kind == "homomorphism":
+        rep = rep.restriction()
+    rep = _apply_view(rep, args.view)
     report = tightness_report(rep)
     for line in _report_lines(args.rep, args.view, rep, report):
         print(line)
@@ -126,20 +128,20 @@ def cmd_check(args) -> int:
 
 def cmd_tighten(args) -> int:
     sf = _read_structures(args.path)
-    block = sf[args.rep]
+    block = _map_block(sf, args.rep)
+    domain_block = sf[block.refs["domain"]]
+    corner_name = block.refs["codomain"] + "_tightened"
+    if domain_block.name in (corner_name, block.name + "_tightened"):
+        raise CliInputError(f"the domain '{domain_block.name}' has the name "
+                            "of a block that tighten writes; rename it")
     if block.kind == "representation":
         tightening = tighten(block.structure)
-        corner_kind, corner = "algebra", tightening.codomain.as_algebra()
-        corestricted = block.structure.with_codomain(corner)
-    elif block.kind == "homomorphism":
+        corner_kind, corner = "algebra", tightening.codomain
+        corestricted = tightening.representation
+    else:
         tightening = tighten_homomorphism(block.structure)
         corner_kind, corner = "inverse_semigroup", tightening.corner
         corestricted = tightening.homomorphism
-    else:
-        raise CliInputError(
-            f"'{block.name}' is @{block.kind}, need a representation or homomorphism")
-    domain_block = sf[block.refs["domain"]]
-    corner_name = block.refs["codomain"] + "_tightened"
     blocks = [
         domain_block,
         Block(corner_kind, corner_name, 0, corner, {}),

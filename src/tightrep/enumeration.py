@@ -39,7 +39,7 @@ from .representations import (
     tighten,
 )
 
-MAX_ATOMS = 8   # P(k) has 4^k-entry tables: validating P(8) takes 3-4 s
+MAX_ATOMS = 8   # P(k) has 4^k-entry tables: building P(8) takes about 0.15 s
 # Largest semilattice sizes.  Labeled, size 8 would take 1078 × 7! ≈ 5.4M
 # relabelings (size 7: 222 × 6!, 96,373 distinct tables).  Up to
 # isomorphism, size 9 tries 8! relabelings on each of 16,747 extensions,

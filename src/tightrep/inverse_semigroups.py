@@ -2,16 +2,19 @@
 
 An inverse semigroup here is a multiplication table in which every
 element has a unique generalized inverse; its idempotents then commute
-and form a meet-semilattice under multiplication.  A homomorphism into a
-semigroup whose idempotent semilattice carries a generalized Boolean
-algebra is tight (or cover-to-join, or non-degenerate) exactly when its
-restriction to idempotents is, so the decision procedures reduce to the
+(Howie 1995, §5.1), so validation does not check that, and they form a
+meet-semilattice under multiplication.  A homomorphism into a semigroup
+whose idempotent semilattice carries a generalized Boolean algebra is
+tight (or cover-to-join, or non-degenerate) exactly when its restriction
+to idempotents is, so the decision procedures reduce to the
 representation layer.  The corner construction restricts the codomain T
 to uTu, where u is the join of the restricted image: the elements t with
 ut = t = tu, which are those whose source and range projections t⁻¹t
-and tt⁻¹ sit below u.  Validation, the idempotents and the corner run on
-positions in the multiplication table; names appear only in arguments,
-messages and the tables handed to the constructors.
+and tt⁻¹ sit below u.  The constructors of the corner and of the
+corestricted map check that it is closed and holds the range.
+Validation, the idempotents and the corner run on positions in the
+multiplication table; names appear only in arguments, messages and the
+tables handed to the constructors.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ class FiniteInverseSemigroup(_TableStructure):
     """A finite inverse semigroup with zero, given by its multiplication table.
 
     Validation checks associativity, that every element has exactly one
-    generalized inverse (s t s = s and t s t = t), that idempotents
-    commute pairwise, and that the declared zero is absorbing.  The
-    derived inverse table is stored.
+    generalized inverse (s t s = s and t s t = t), and that the declared
+    zero is absorbing.  The idempotents then commute pairwise (Howie,
+    Fundamentals of Semigroup Theory, 1995, §5.1), so that is not
+    checked.  The derived inverse table is stored.
     """
 
     _TABLES = ("mul",)
@@ -73,16 +77,10 @@ class FiniteInverseSemigroup(_TableStructure):
                 raise ValidationError(
                     f"generalized inverse not unique for {els[s]}")
             inv.append(found[0])
-        idem = [a for a in rng if m[a][a] == a]
-        for a in idem:
-            for b in idem:
-                if m[a][b] != m[b][a]:
-                    raise ValidationError(
-                        f"idempotents do not commute at ({els[a]}, {els[b]})")
         for a in rng:
             if m[z][a] != z or m[a][z] != z:
                 raise ValidationError(f"zero not absorbing at {els[a]}")
-        return tuple(inv), tuple(idem)
+        return tuple(inv), tuple(a for a in rng if m[a][a] == a)
 
     def mul(self, a: str, b: str) -> str:
         return self.elements[self._mul[self.index(a)][self.index(b)]]
@@ -240,34 +238,30 @@ def check_homomorphism_tightness(hom: ISHomomorphism) -> TightnessReport:
 def tighten_homomorphism(hom: ISHomomorphism) -> HomomorphismTightening:
     """Corestrict a cover-to-join homomorphism to its tightening corner.
 
-    The corner is closed under products and inverses, contains the range,
-    and its idempotent part is exactly the principal ideal below the
-    unit, so it is again a generalized Boolean inverse semigroup (indeed
-    a unital one).  The corestricted homomorphism is verified tight.
+    The corner uTu is closed under products and inverses, holds the
+    range, and its idempotents are the principal ideal below the unit u,
+    so it is again a (unital) generalized Boolean inverse semigroup.
+    The constructors of the corner and of the corestricted map refuse a
+    product, an inverse or an image outside it.  Such a refusal, other
+    idempotents, or a corestriction that is not tight is an
+    InvariantError.
     """
     tightening = tighten(hom.restriction())
     T, unit = hom.codomain, tightening.unit
-    els, m, inv = T.elements, T._mul, T._inv
+    els, m = T.elements, T._mul
     u = T._index[unit]
     # ut = t iff tt⁻¹ ≤ u, and tu = t iff t⁻¹t ≤ u
     keep = [t for t in range(len(els)) if m[u][t] == t == m[t][u]]
-    inside = set(keep)
-    for s in hom.domain.elements:
-        if T._index[hom.mapping[s]] not in inside:
-            raise InvariantError(f"image of {s} escaped the corner below {unit}")
-    for a in keep:
-        for b in keep:
-            if m[a][b] not in inside:
-                raise InvariantError(
-                    f"corner not closed under products at ({els[a]}, {els[b]})")
-        if inv[a] not in inside:
-            raise InvariantError(f"corner not closed under inverses at {els[a]}")
     rows = [[els[m[a][b]] for b in keep] for a in keep]
-    corner = FiniteInverseSemigroup([els[t] for t in keep], T.zero, rows)
+    try:
+        corner = FiniteInverseSemigroup([els[t] for t in keep], T.zero, rows)
+        corestricted = ISHomomorphism(hom.domain, corner, dict(hom.mapping))
+    except ValidationError as err:   # impossible for a true homomorphism
+        raise InvariantError(
+            f"the corner below {unit} failed validation: {err}") from err
     if set(corner.idempotent_elements) != set(tightening.codomain.elements):
         raise InvariantError(
             "corner idempotents differ from the principal ideal below the unit")
-    corestricted = ISHomomorphism(hom.domain, corner, dict(hom.mapping))
     report = check_homomorphism_tightness(corestricted)
     if not report.tight.ok:
         raise InvariantError("corestriction to the corner is not tight")

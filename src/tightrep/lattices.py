@@ -1,26 +1,26 @@
 """Finite meet-semilattices, generalized Boolean algebras, and their ideals.
 
 Structures are explicit operation tables over opaque element names.
-Validation is eager: constructing a structure runs the exhaustive axiom
-check and raises ValidationError on the first violation, so every live
-instance is known-good.  Tables never change after construction and all
-operations are pure.  A semilattice keeps bitsets over positions: the
-down-sets `_down` and the meet-zero sets `_zero_meet`.  `_scans` gains,
-by idempotent `setdefault`s, the subset masks of each scan kind's above-
+Validation is eager: constructing a structure checks its axioms and
+raises ValidationError on the first violation, so every live instance is
+known-good.  Tables never change after construction and all operations
+are pure.  A semilattice keeps bitsets over positions: the down-sets
+`_down` and the meet-zero sets `_zero_meet`.  `_scans` gains, by
+idempotent `setdefault`s, the subset masks of each scan kind's above-
 and disjoint-sets and the covers of each constrained set, so it is
 shareable.
 
-A finite generalized Boolean algebra is the powerset of its atoms.  The
-tables are checked against the axioms and relative complements, which
-imply the rest: for c ≤ a with complement x below a, distributivity
-makes d = a ∨ c satisfy a ∧ d = d and d ∧ (x ∨ c) = x ∨ c = a, so
-a ∨ c = a, and join is the least upper bound.  Each element then gets
-its atom mask (bit k for the k-th atom in declared order), checked to be
-a bijection under which the tables are `&` and `|`; meet, join and
-relative complement run as `&`, `|` and `b & ~a` on ints.  `_masks`
-holds the masks by position, `_mask_names` the names by mask, and
-`_unit` the mask of the top.  The scans of the representation layer run
-on these masks and turn them back into names only for witnesses.
+A finite generalized Boolean algebra is the powerset of its atoms, and
+that is how the tables are accepted: each element gets its atom mask
+(bit k for the k-th atom in declared order), and the masks must be a
+bijection onto P(k), sending zero to 0, under which the tables are `&`
+and `|`.  That O(n²) test makes the algebra isomorphic to P(k), so every
+axiom holds.  Only a refused table runs the O(n³) axiom and complement
+scans, which name its first violation.  Meet, join and relative
+complement run as `&`, `|` and `b & ~a` on ints.  `_masks` holds the
+masks by position, `_mask_names` the names by mask, and `_unit` the mask
+of the top.  The scans of the representation layer run on these masks
+and turn them back into names only for witnesses.
 
 An IdealView is the parent algebra restricted to the members of an
 ideal, so it is a FiniteGenBoolAlg itself: its `index` is a position in
@@ -214,17 +214,17 @@ class FiniteMeetSemilattice(_TableStructure):
 class FiniteGenBoolAlg(_TableStructure):
     """A finite generalized Boolean algebra, given by meet and join tables.
 
-    The constructor checks the defining axioms (commutativity of both
-    operations, associativity of meet, meet distributing over join,
-    a ∨ 0 = a, existence and uniqueness of relative complements,
-    idempotence).  The other laws follow: for c ≤ a, with x the
-    complement of c below a, distributivity gives a ∧ (a ∨ c) = a ∨ c
-    and (a ∨ c) ∧ (x ∨ c) = x ∨ c, where x ∨ c = a, so a ∨ c = a; then
-    join is the least upper bound and the algebra is the powerset of its
-    atoms, which `_atom_masks` checks as an invariant.  Its top, the
-    all-atoms mask, acts as a unit, so in the finite case every such
-    algebra is unital; whether it is *used* unitally is a property of the
-    view a computation runs against (the full algebra or an IdealView).
+    The constructor accepts the tables when `_atom_masks` reads them as
+    P(k).  Only a refused table runs `_check_axioms` (commutativity,
+    associativity of meet, distributivity, neutral zero, idempotence)
+    and then `_check_complements`, which raise its first violation.
+    These imply the powerset form: for c ≤ a, with x the complement of c
+    below a, distributivity gives a ∧ (a ∨ c) = a ∨ c and
+    (a ∨ c) ∧ (x ∨ c) = x ∨ c = a, so a ∨ c = a and join is the least
+    upper bound.  A table that passes both is an InvariantError.  The top
+    acts as a unit, so every such algebra is unital; whether it is *used*
+    unitally is a property of the view a computation runs against (the
+    full algebra or an IdealView).
     """
 
     _TABLES = ("meet", "join")
@@ -232,9 +232,13 @@ class FiniteGenBoolAlg(_TableStructure):
     def __init__(self, elements: Sequence[str], zero: str,
                  meet: Sequence[Sequence[str]], join: Sequence[Sequence[str]]):
         self._meet, self._join = self._read(elements, zero, meet, join)
-        self._check_axioms()
-        self._check_complements()
-        self._masks, self._mask_names = self._atom_masks()
+        powerset = self._atom_masks()
+        if powerset is None:
+            self._check_axioms()
+            self._check_complements()
+            raise InvariantError(
+                "a validated algebra is not the powerset of its atoms")
+        self._masks, self._mask_names = powerset
         self._unit = len(self.elements) - 1
         self.top = self._mask_names[self._unit]
 
@@ -270,7 +274,11 @@ class FiniteGenBoolAlg(_TableStructure):
                 raise ValidationError(f"meet not idempotent at {els[a]}")
 
     def _check_complements(self):
-        """For every a ≤ b there is exactly one x with x ∨ a = b and x ∧ a = 0."""
+        """For every a ≤ b some x has x ∨ a = b and x ∧ a = 0.
+
+        The axioms make x unique: if y is another, x = x ∧ (x ∨ a) =
+        x ∧ (y ∨ a) = (x ∧ y) ∨ (x ∧ a) = x ∧ y, and likewise y = y ∧ x.
+        """
         els, m, j = self.elements, self._meet, self._join
         n = len(els)
         z = self._index[self.zero]
@@ -278,21 +286,17 @@ class FiniteGenBoolAlg(_TableStructure):
             for b in range(n):
                 if m[a][b] != a:        # only pairs with a ≤ b
                     continue
-                found = [x for x in range(n) if j[x][a] == b and m[x][a] == z]
-                if not found:
+                if not any(j[x][a] == b and m[x][a] == z for x in range(n)):
                     raise ValidationError(
                         f"relative complement missing for {els[a]} ≤ {els[b]}")
-                if len(found) > 1:
-                    raise ValidationError(
-                        f"relative complement not unique for {els[a]} ≤ {els[b]}")
 
     def _atom_masks(self):
-        """Each element's atom mask by position, and the names by mask.
+        """Each element's atom mask by position and the names by mask, or
+        None unless the masks are a bijection onto 0..2^k - 1 that sends
+        zero to 0 and under which the tables are `&` and `|`.
 
         An atom is a nonzero element whose meet with anything is zero or
-        itself.  The algebra is the powerset of its atoms, so the masks
-        are a bijection onto 0..2^k - 1 under which the tables are `&`
-        and `|`; this O(n²) check ties `meet` and `join` to the tables.
+        itself.  This O(n²) test is all that accepts a valid algebra.
         """
         els, m, j = self.elements, self._meet, self._join
         n = len(els)
@@ -305,12 +309,11 @@ class FiniteGenBoolAlg(_TableStructure):
         for a, mask in enumerate(masks):
             if mask < n:
                 names[mask] = els[a]
-        if n != 1 << len(atoms) or None in names or any(
+        if n != 1 << len(atoms) or None in names or masks[z] or any(
                 masks[m[a][b]] != masks[a] & masks[b]
                 or masks[j[a][b]] != masks[a] | masks[b]
                 for a in range(n) for b in range(n)):
-            raise InvariantError(
-                "a validated algebra is not the powerset of its atoms")
+            return None
         return masks, tuple(names)
 
     # -- operations ---------------------------------------------------

@@ -11,9 +11,18 @@ from pathlib import Path
 import pytest
 
 import tightrep
-from tightrep import cli
+from tightrep import (
+    ValidationError,
+    cli,
+    enumerate_representations,
+    enumerate_semilattices,
+    inverse_semigroups,
+    is_cover_to_join,
+    parse,
+    powerset_algebra,
+)
 from tightrep.cli import main
-from tightrep import parse
+from tightrep.structfile import Block, StructureFile, render
 
 from test_structfile import COUNTEREXAMPLE
 
@@ -351,6 +360,92 @@ def test_invariant_breach_exits_2_under_optimize(tmp_path, hom_path):
     assert proc.stderr == ("internal invariant breach: "
                            "corestriction to the corner is not tight\n")
     assert not (tmp_path / "corner.struct").exists()
+
+
+@pytest.mark.parametrize("culprit", ["FiniteInverseSemigroup", "ISHomomorphism"])
+def test_a_refused_corner_is_an_invariant_breach(capsys, tmp_path, hom_path,
+                                                 monkeypatch, culprit):
+    def refused(*args):
+        raise ValidationError("unknown element 'x' in mul table")
+    monkeypatch.setattr(inverse_semigroups, culprit, refused)
+    out_path = tmp_path / "corner.struct"
+    code, out, err = run(capsys, "tighten", str(hom_path),
+                         "--rep", "phi", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == ("internal invariant breach: the corner below e1 failed "
+                   "validation: unknown element 'x' in mul table\n")
+    assert not out_path.exists()
+
+
+def rename_domain(text, kind, old, new):
+    """The text with its domain block renamed, header and reference."""
+    text = text.replace(f"@{kind} {old}\n", f"@{kind} {new}\n")
+    assert text.count(f"domain: {old}\n") == 1
+    return text.replace(f"domain: {old}\n", f"domain: {new}\n")
+
+
+@pytest.mark.parametrize("kind, old, rep, written", [
+    ("semilattice", "E", "pi", "B_tightened"),
+    ("semilattice", "E", "pi", "pi_tightened"),
+    ("inverse_semigroup", "S", "phi", "T_tightened"),
+    ("inverse_semigroup", "S", "phi", "phi_tightened"),
+])
+def test_tighten_refuses_a_domain_named_like_a_block_it_writes(
+        capsys, tmp_path, hom_path, kind, old, rep, written):
+    # the written file would hold two blocks of that name, which its
+    # own parser refuses; nothing is written
+    source = COUNTEREXAMPLE if rep == "pi" else hom_path.read_text("utf-8")
+    path = tmp_path / "in.struct"
+    path.write_text(rename_domain(source, kind, old, written), encoding="utf-8")
+    out_path = tmp_path / "out.struct"
+    code, out, err = run(capsys, "tighten", str(path),
+                         "--rep", rep, "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: the domain '{written}' has the name of a block "
+                   "that tighten writes; rename it\n")
+    assert not out_path.exists()
+
+
+def assert_tighten_round_trips(capsys, tmp_path, text, rep, unit):
+    """tighten writes a file that parses back, and its corestriction
+    checks tight."""
+    path, out_path = tmp_path / "in.struct", tmp_path / "out.struct"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "tighten", str(path),
+                         "--rep", rep, "--out", str(out_path))
+    assert (code, out, err) == (0, f"unit: {unit}\nwrote: {out_path}\n", "")
+    code, out, err = run(capsys, "check", str(out_path),
+                         "--rep", rep + "_tightened")
+    assert code == 0 and "tight: pass" in out.splitlines(), err
+
+
+def test_tighten_round_trips_every_homgen_cover_to_join_case(capsys, tmp_path):
+    from test_inverse_semigroups import load_homgen
+
+    cases = [c for c in load_homgen().all_cases() if c.cover_to_join]
+    assert len(cases) == 431
+    for case in cases:
+        assert_tighten_round_trips(capsys, tmp_path, case.text, "h", case.unit)
+
+
+def test_tighten_round_trips_every_small_representation_into_p2(capsys,
+                                                                tmp_path):
+    P2 = powerset_algebra(2)
+    tightened = 0
+    for n in range(1, 5):
+        for E in enumerate_semilattices(n):
+            for rep in enumerate_representations(E, P2):
+                if not is_cover_to_join(rep).ok:
+                    continue
+                tightened += 1
+                text = render(StructureFile([
+                    Block("semilattice", "E", 0, E, {}),
+                    Block("algebra", "B", 0, P2, {}),
+                    Block("representation", "pi", 0, rep,
+                          {"domain": "E", "codomain": "B"})]))
+                unit = P2.join_all(rep.image(x) for x in E.elements)
+                assert_tighten_round_trips(capsys, tmp_path, text, "pi", unit)
+    assert tightened == 155     # of 336 representations
 
 
 def test_enumerate_golden(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,60 @@ def test_zero_must_absorb():
 
 
 # -- idempotent semilattices -----------------------------------------------------
+
+def full_semigroup_check_order(els, zero, mul):
+    """The message of the first failure when every inverse-semigroup check
+    runs, in order, on a well-shaped table, or None if none fails.
+
+    A transcription that includes the check that idempotents commute,
+    which the constructor leaves out because unique inverses imply it.
+    """
+    ix = {e: i for i, e in enumerate(els)}
+    m = [[ix[v] for v in row] for row in mul]
+    z, rng = ix[zero], range(len(els))
+    for a, b, c in product(rng, repeat=3):
+        if m[m[a][b]][c] != m[a][m[b][c]]:
+            return f"mul not associative at ({els[a]}, {els[b]}, {els[c]})"
+    for s in rng:
+        found = [t for t in rng if m[m[s][t]][s] == s and m[m[t][s]][t] == t]
+        if not found:
+            return f"no generalized inverse for {els[s]}"
+        if len(found) > 1:
+            return f"generalized inverse not unique for {els[s]}"
+    idem = [a for a in rng if m[a][a] == a]
+    for a, b in product(idem, repeat=2):
+        if m[a][b] != m[b][a]:
+            return f"idempotents do not commute at ({els[a]}, {els[b]})"
+    for a in rng:
+        if m[z][a] != z or m[a][z] != z:
+            return f"zero not absorbing at {els[a]}"
+    return None
+
+
+def test_every_three_element_table_follows_the_full_check_order():
+    els = ("0", "a", "b")
+    accepted = 0
+    kinds = {}
+    for flat in product(els, repeat=9):
+        rows = [flat[0:3], flat[3:6], flat[6:9]]
+        expected = full_semigroup_check_order(els, "0", rows)
+        try:
+            FiniteInverseSemigroup(els, "0", rows)
+            got = None
+        except ValidationError as err:
+            got = str(err)
+        assert got == expected, rows
+        accepted += got is None
+        kind = got and got.split(" for ")[0].split(" at ")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert sum(kinds.values()) == 3 ** 9
+    # the two labeled 3-chains, the vee, and Z2 with zero with either
+    # nonzero element as the identity
+    assert accepted == kinds[None] == 5
+    assert set(kinds) == {None, "mul not associative", "no generalized inverse",
+                          "generalized inverse not unique",
+                          "zero not absorbing"}
+
 
 def test_idempotents_of_i2_form_the_powerset_reduct(i2):
     E = i2.idempotent_semilattice()

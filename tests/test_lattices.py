@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from itertools import product
 
@@ -16,6 +17,7 @@ from tightrep import (
     ValidationError,
     enumerate_semilattices,
     ideal_generated_by,
+    is_generalized_boolean_inverse_semigroup,
     is_ideal,
     powerset_algebra,
     principal_ideal,
@@ -23,7 +25,13 @@ from tightrep import (
 from tightrep.cli import main
 from tightrep.lattices import InvariantError
 
-from conftest import make_diamond, subsets_of
+from conftest import (
+    make_diamond,
+    make_i2,
+    make_i3,
+    make_z2_with_zero,
+    subsets_of,
+)
 
 
 # -- semilattice validation -------------------------------------------------
@@ -507,3 +515,118 @@ def test_meet_all_agrees_with_pairwise_folding(data):
     for x in xs[1:]:
         acc = diamond.meet(acc, x)
     assert diamond.meet_all(xs) == acc
+
+
+# -- the refusal order of algebras ---------------------------------------------
+
+def full_check_order(els, zero, meet, join):
+    """The message of the first failure when every algebra check runs, in
+    order, on well-shaped tables, or None if none fails.
+
+    A transcription of the axiom scans and of both complement checks,
+    existence and uniqueness.  The constructor runs the scans only after
+    its powerset test refuses a table, and leaves uniqueness out because
+    the axioms imply it.
+    """
+    ix = {e: i for i, e in enumerate(els)}
+    m = [[ix[v] for v in row] for row in meet]
+    j = [[ix[v] for v in row] for row in join]
+    z, rng = ix[zero], range(len(els))
+    for a in rng:
+        for b in range(a + 1, len(els)):
+            if j[a][b] != j[b][a]:
+                return f"join not commutative at ({els[a]}, {els[b]})"
+            if m[a][b] != m[b][a]:
+                return f"meet not commutative at ({els[a]}, {els[b]})"
+    for a, b, c in product(rng, repeat=3):
+        if m[m[a][b]][c] != m[a][m[b][c]]:
+            return f"meet not associative at ({els[a]}, {els[b]}, {els[c]})"
+        if m[a][j[b][c]] != j[m[a][b]][m[a][c]]:
+            return f"distributivity fails at ({els[a]}, {els[b]}, {els[c]})"
+    for a in rng:
+        if j[a][z] != a:
+            return f"zero not neutral for join at {els[a]}"
+        if j[a][a] != a:
+            return f"join not idempotent at {els[a]}"
+        if m[a][a] != a:
+            return f"meet not idempotent at {els[a]}"
+    for a, b in product(rng, repeat=2):
+        found = [x for x in rng if j[x][a] == b and m[x][a] == z]
+        if m[a][b] == a and not found:
+            return f"relative complement missing for {els[a]} ≤ {els[b]}"
+        if m[a][b] == a and len(found) > 1:
+            return f"relative complement not unique for {els[a]} ≤ {els[b]}"
+    return None
+
+
+def algebra_refusal(els, zero, meet, join):
+    """The constructor's ValidationError message, or None if it accepts;
+    any other exception propagates."""
+    try:
+        FiniteGenBoolAlg(els, zero, meet, join)
+    except ValidationError as err:
+        return str(err)
+    return None
+
+
+def small_join_candidates():
+    """The 19 x 64 candidates of the small join-table test above."""
+    for E in enumerate_semilattices(4):
+        els = E.elements
+        meet = [[E.meet(a, b) for b in els] for a in els]
+        pairs = [(i, j) for i in range(1, 4) for j in range(i + 1, 4)]
+        for values in product(els, repeat=len(pairs)):
+            join = [[b if a == "0" else a if b == "0" or a == b else None
+                     for b in els] for a in els]
+            for (i, j), v in zip(pairs, values):
+                join[i][j] = join[j][i] = v
+            yield els, "0", meet, join
+
+
+def powerset_mutants(seed, count):
+    """Seeded one- or two-entry changes of the tables of P(1)-P(3), one in
+    ten also declaring a random zero."""
+    rng = random.Random(seed)
+    algebras = [powerset_algebra(k) for k in (1, 2, 3)]
+    for _ in range(count):
+        P = rng.choice(algebras)
+        els = P.elements
+        tables = [[[P.meet(a, b) for b in els] for a in els],
+                  [[P.join(a, b) for b in els] for a in els]]
+        for _ in range(rng.choice((1, 2))):
+            row = rng.choice(rng.choice(tables))
+            col = rng.randrange(len(els))
+            row[col] = rng.choice([e for e in els if e != row[col]])
+        zero = rng.choice(els) if rng.random() < 0.1 else P.zero
+        yield els, zero, *tables
+
+
+def test_algebra_refusals_follow_the_full_check_order():
+    # the powerset test accepts exactly what every check accepts, and a
+    # refused table gets the first failure of the full order, so the
+    # uniqueness branch never fires
+    kinds = ("join not commutative", "meet not commutative",
+             "meet not associative", "distributivity fails",
+             "zero not neutral for join", "join not idempotent",
+             "meet not idempotent", "relative complement missing")
+    cases = [*small_join_candidates(), *powerset_mutants(25, 3000)]
+    seen = set()
+    for args in cases:
+        expected = full_check_order(*args)
+        assert algebra_refusal(*args) == expected, args
+        seen.update(k for k in kinds if expected and expected.startswith(k))
+    assert len(cases) == 19 * 64 + 3000
+    assert seen == set(kinds)
+
+
+def test_a_valid_algebra_runs_no_axiom_scan(monkeypatch):
+    def scan(self):
+        raise AssertionError("an axiom scan ran on a valid algebra")
+    monkeypatch.setattr(FiniteGenBoolAlg, "_check_axioms", scan)
+    monkeypatch.setattr(FiniteGenBoolAlg, "_check_complements", scan)
+    for k in range(4):
+        assert len(powerset_algebra(k)) == 1 << k
+    # the idempotent algebras of the semigroups in conftest
+    for make, size in ((make_i2, 4), (make_z2_with_zero, 2), (make_i3, 8)):
+        check = is_generalized_boolean_inverse_semigroup(make())
+        assert check.ok and len(check.algebra) == size
