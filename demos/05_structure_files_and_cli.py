@@ -45,25 +45,26 @@ map:
 1 -> 1
 """
 
-workdir = Path(tempfile.mkdtemp(prefix="tightrep_demo_"))
-source = workdir / "counterexample.struct"
-source.write_text(FILE, encoding="utf-8")
+with tempfile.TemporaryDirectory(prefix="tightrep_demo_") as name:
+    workdir = Path(name)
+    source = workdir / "counterexample.struct"
+    source.write_text(FILE, encoding="utf-8")
 
-print("$ tightrep validate", source.name)
-main(["validate", str(source)])
+    print("$ tightrep validate", source.name)
+    main(["validate", str(source)])
 
-print("\n$ tightrep check", source.name, "--rep pi --view full")
-main(["check", str(source), "--rep", "pi", "--view", "full"])
+    print("\n$ tightrep check", source.name, "--rep pi --view full")
+    main(["check", str(source), "--rep", "pi", "--view", "full"])
 
-print("\n$ tightrep tighten", source.name, "--rep pi --out tightened.struct")
-corner = workdir / "tightened.struct"
-main(["tighten", str(source), "--rep", "pi", "--out", str(corner)])
+    print("\n$ tightrep tighten", source.name, "--rep pi --out tightened.struct")
+    corner = workdir / "tightened.struct"
+    main(["tighten", str(source), "--rep", "pi", "--out", str(corner)])
 
-print("\n$ tightrep check tightened.struct --rep pi_tightened")
-main(["check", str(corner), "--rep", "pi_tightened"])
+    print("\n$ tightrep check tightened.struct --rep pi_tightened")
+    main(["check", str(corner), "--rep", "pi_tightened"])
 
-print("\n$ tightrep search-gap --max-e 2 --atoms 2")
-main(["search-gap", "--max-e", "2", "--atoms", "2"])
+    print("\n$ tightrep search-gap --max-e 2 --atoms 2")
+    main(["search-gap", "--max-e", "2", "--atoms", "2"])
 
-print("\n$ tightrep verify --max-e 3 --atoms 2")
-main(["verify", "--max-e", "3", "--atoms", "2"])
+    print("\n$ tightrep verify --max-e 3 --atoms 2")
+    main(["verify", "--max-e", "3", "--atoms", "2"])

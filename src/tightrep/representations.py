@@ -141,8 +141,10 @@ class _Map:
 class Representation(_Map):
     """A validated map from a finite meet-semilattice into an algebra view.
 
-    Reads the map (`_Map._read`) and checks that meets are preserved
-    pairwise.  `_images` holds the images' atom masks by domain position.
+    Reads the map (`_Map._read`) and checks each pair a < b of nonzero
+    positions for a preserved meet: zero maps to 0, the diagonal holds
+    and meets commute, so no other pair fails first in row-major order.
+    `_images` holds the images' atom masks by domain position.
     """
 
     def __init__(self, domain: FiniteMeetSemilattice, codomain,
@@ -150,11 +152,11 @@ class Representation(_Map):
         self._read(domain, codomain, mapping)
         masks, index, els = codomain._masks, codomain._index, domain.elements
         img = tuple(masks[index[mapping[x]]] for x in els)
-        for i, row in enumerate(domain._meet):
-            for j, k in enumerate(row):
-                if img[k] != img[i] & img[j]:
-                    raise ValidationError(
-                        f"meet not preserved at ({els[i]}, {els[j]})")
+        meet, z = domain._meet, domain._index[domain.zero]
+        for i, j in combinations([p for p in range(len(els)) if p != z], 2):
+            if img[meet[i][j]] != img[i] & img[j]:
+                raise ValidationError(
+                    f"meet not preserved at ({els[i]}, {els[j]})")
         self._images = img
 
     def range_elements(self) -> tuple[str, ...]:
@@ -162,9 +164,6 @@ class Representation(_Map):
 
     def is_zero_range(self) -> bool:
         return not any(self._images)
-
-    def with_codomain(self, view) -> "Representation":
-        return Representation(self.domain, view, self.mapping)
 
 
 def _graded_subsets(items) -> Iterator[tuple]:
@@ -442,4 +441,5 @@ def restrict_to_generated_ideal(rep: Representation) -> Representation:
     """
     view = rep.codomain
     unit = view._mask_names[_join_mask(rep._images)]
-    return rep.with_codomain(principal_ideal(view.base, unit))
+    return Representation(rep.domain, principal_ideal(view.base, unit),
+                          rep.mapping)

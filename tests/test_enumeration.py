@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -31,6 +32,7 @@ from tightrep.enumeration import (
     VerificationSummary,
     _check_semilattice,
 )
+from tightrep.cli import main
 
 from conftest import (
     brute_cover_to_join,
@@ -491,6 +493,85 @@ def test_semilattice_pass_reports_an_unsound_reduction():
     assert summary.checks == 256
     assert summary.violations[0] == \
         "constrained-set reduction unsound at ('a', 'b'), ()"
+
+
+def map_label(rep):
+    return "map " + " ".join(f"{x}->{rep.image(x)}" for x in rep.domain.elements)
+
+
+def patched_verify(monkeypatch, name, wrap):
+    """verify_theorems over 3/(2,) with `name` in enumeration wrapped."""
+    monkeypatch.setattr(enumeration, name, wrap(getattr(enumeration, name)))
+    return verify_theorems(UniverseSpec(3, (2,)))
+
+
+UNPATCHED_CHECKS = 1222     # verify --max-e 3 --atoms 2
+
+
+def test_verify_reports_a_tight_verdict_that_differs_over_all_covers(
+        monkeypatch, capsys):
+    def wrap(real):
+        def flipped(rep, view=None, *, minimal_only=True, reduced=True):
+            verdict = real(rep, view, minimal_only=minimal_only,
+                           reduced=reduced)
+            if (not minimal_only and reduced
+                    and map_label(rep) == "map 0->0 1->1"):
+                return replace(verdict, ok=not verdict.ok)
+            return verdict
+        return flipped
+    summary = patched_verify(monkeypatch, "is_tight", wrap)
+    assert summary.violations == [
+        "map 0->0 1->1: tight verdict differs over all covers"]
+    assert summary.checks == UNPATCHED_CHECKS
+    assert main(["verify", "--max-e", "3", "--atoms", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "violation: map 0->0 1->1: tight verdict differs over all covers\n")
+    assert out.endswith(f"checks: {UNPATCHED_CHECKS}\nviolations: 1\n")
+
+
+def test_verify_reports_a_corner_that_is_not_tight(monkeypatch, capsys):
+    # with the corner left as the whole codomain, exactly the maps that
+    # are cover-to-join but not tight in it fail in the corner: the 10
+    # gaps of search-gap --max-e 3 --atoms 2 and the 5 zero maps
+    expected = [
+        f"{map_label(rep)}: not tight in the tightening corner"
+        for n in (1, 2, 3) for E in enumerate_semilattices(n)
+        for rep in enumerate_representations(E, powerset_algebra(2))
+        if is_cover_to_join(rep).ok and not is_tight(rep).ok]
+    assert len(expected) == 15
+    summary = patched_verify(monkeypatch, "restrict_to_generated_ideal",
+                             lambda real: lambda rep: rep)
+    assert summary.violations == expected
+    assert summary.checks == UNPATCHED_CHECKS
+    assert main(["verify", "--max-e", "3", "--atoms", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:len(expected)] == [f"violation: {v}" for v in expected]
+    assert lines[-1] == f"violations: {len(expected)}"
+
+
+def test_verify_reports_the_instances_a_false_cover_to_join_pass_breaks(
+        monkeypatch):
+    # the three-chain 0 < 1 < 2 sent to 1 and 12 fails cover-to-join at 2;
+    # called a pass, it runs the corner checks, which fail, and three
+    # covers of the instances above 2 fail the scan those checks assume
+    def wrap(real):
+        def passed(rep, *, minimal_only=True):
+            verdict = real(rep, minimal_only=minimal_only)
+            if minimal_only and map_label(rep) == "map 0->0 1->1 2->12":
+                assert not verdict.ok
+                return replace(verdict, ok=True)
+            return verdict
+        return passed
+    summary = patched_verify(monkeypatch, "is_cover_to_join", wrap)
+    assert summary.violations == [
+        f"map 0->0 1->1 2->12: {text}" for text in (
+            "cover-to-join verdict differs over all covers",
+            "non-degenerate but tight and cover-to-join disagree",
+            "not tight in the tightening corner",
+            "tightening unit depends on the cover choice",
+            *["cover-to-join but instance above 2 fails"] * 3)]
+    assert summary.checks > UNPATCHED_CHECKS
 
 
 def test_reduced_tight_scan_agrees_on_mixed_universe():

@@ -24,6 +24,7 @@ from tightrep import (
     representations,
     tighten_homomorphism,
 )
+from tightrep.lattices import InvariantError
 
 from conftest import (
     all_homomorphisms,
@@ -244,10 +245,16 @@ def name_level_gbis(E):
 
 
 def test_gbis_check_agrees_with_the_name_level_search():
+    # every labeled semilattice on at most five elements, and the classes
+    # of sizes 6 and 7
     semigroups = [make_i2(), make_b2(), make_z2_with_zero()]
     for n in range(1, 6):
         semigroups.extend(semigroup_from_semilattice(sl)
                           for sl in enumerate_semilattices(n))
+    for n in (6, 7):
+        semigroups.extend(semigroup_from_semilattice(sl)
+                          for sl in enumerate_semilattices(n, up_to_iso=True))
+    assert len(semigroups) == 3 + 237 + 275
     outcomes = set()
     for S in semigroups:
         check = is_generalized_boolean_inverse_semigroup(S)
@@ -279,6 +286,32 @@ def test_homomorphism_validation(i2):
         ISHomomorphism(chain2, i2, {"0": "e1", "1": "e1"})
     with pytest.raises(ValidationError, match="not a generalized Boolean"):
         ISHomomorphism(chain2, make_b2(), {"0": "z", "1": "e1"})
+
+
+def local_inverse(S, s):
+    """The generalized inverses of s, found by scanning the table."""
+    return [t for t in S.elements
+            if S.mul(S.mul(s, t), s) == s and S.mul(S.mul(t, s), t) == t]
+
+
+def assert_preserves_inverses_and_idempotents(hom):
+    S, T = hom.domain, hom.codomain
+    for s in S.elements:
+        assert [hom.image(t) for t in local_inverse(S, s)] == \
+            local_inverse(T, hom.image(s)), (hom, s)
+        if S.mul(s, s) == s:
+            image = hom.image(s)
+            assert T.mul(image, image) == image, (hom, s)
+
+
+def test_restriction_refuses_an_idempotent_sent_outside_the_algebra(i2):
+    # products rule this out for a constructed map; a mapping changed
+    # afterwards is an invariant breach, not an input error
+    hom = ISHomomorphism(i2, i2, {s: s for s in i2.elements})
+    hom.mapping["e1"] = "a"
+    with pytest.raises(InvariantError,
+                       match="^restriction of a homomorphism failed validation"):
+        hom.restriction()
 
 
 def test_homomorphism_map_messages(i2):
@@ -408,7 +441,8 @@ def all_test_semigroups():
 def test_cover_to_join_corollary_over_all_test_homomorphisms():
     """Tight iff cover-to-join on a non-degenerate restriction, and the
     corner repair always lands tight, over every homomorphism between the
-    test semigroups whose codomain supports the notions at all."""
+    test semigroups whose codomain supports the notions at all.  Each one
+    keeps inverses and idempotents, as its products imply."""
     semigroups = all_test_semigroups()
     checked = 0
     for S in semigroups:
@@ -417,6 +451,7 @@ def test_cover_to_join_corollary_over_all_test_homomorphisms():
                 continue
             for hom in all_homomorphisms(S, T):
                 checked += 1
+                assert_preserves_inverses_and_idempotents(hom)
                 report = check_homomorphism_tightness(hom)
                 if report.tight.ok:
                     assert report.cover_to_join.ok
@@ -444,12 +479,14 @@ def test_homgen_universe_matches_its_brute_force_verdicts_and_units():
     """Every homomorphism from a semilattice semigroup of at most four
     elements into I3: the verdicts are homgen's brute-force ones, and
     the tightening unit of each cover-to-join map is the partial identity
-    on the union of its images."""
+    on the union of its images.  Each map keeps inverses and idempotents,
+    as its products imply."""
     cases = load_homgen().all_cases()
     assert len(cases) == 1306
     tightened = 0
     for case in cases:
         hom = parse(case.text)["h"].structure
+        assert_preserves_inverses_and_idempotents(hom)
         report = check_homomorphism_tightness(hom)
         assert (report.cover_to_join.ok, report.tight.ok,
                 report.nondegenerate.ok) == (

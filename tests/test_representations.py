@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,48 @@ def test_identity_on_powerset_reduct_is_valid(p2):
 def test_meet_violation_is_rejected(vee, p2):
     with pytest.raises(ValidationError, match=r"meet not preserved at \(a, b\)"):
         Representation(vee, p2, {"0": "0", "a": "1", "b": "1"})
+
+
+def row_major_meet_refusal(E, B, mapping):
+    """The first pair, over all n² in row-major order, whose meet is not
+    preserved, as the refusal message; None if every pair is."""
+    for a in E.elements:
+        for b in E.elements:
+            if mapping[E.meet(a, b)] != B.meet(mapping[a], mapping[b]):
+                return f"meet not preserved at ({a}, {b})"
+    return None
+
+
+def reversed_order(E):
+    """The same semilattice with its elements declared in reverse, so the
+    zero comes last."""
+    els = E.elements[::-1]
+    return FiniteMeetSemilattice(
+        els, E.zero, [[E.meet(a, b) for b in els] for a in els])
+
+
+def test_meet_refusals_name_the_first_pair_in_row_major_order():
+    # every zero-preserving map from a labeled semilattice on at most four
+    # elements into P(1) and P(2), with the zero declared first and last
+    refused = total = 0
+    for k in (1, 2):
+        B = powerset_algebra(k)
+        for n in range(1, 5):
+            for E in enumerate_semilattices(n):
+                for images in product(B.elements, repeat=n - 1):
+                    mapping = dict(zip(E.elements[1:], images))
+                    mapping[E.zero] = B.zero
+                    total += 1
+                    for domain in (E, reversed_order(E)):
+                        expected = row_major_meet_refusal(domain, B, mapping)
+                        try:
+                            Representation(domain, B, mapping)
+                            message = None
+                        except ValidationError as err:
+                            message = str(err)
+                        assert message == expected, (domain, mapping)
+                    refused += expected is not None
+    assert (total, refused) == (1436, 1012)
 
 
 def test_zero_and_totality_violations_are_rejected(chain2, p2):
