@@ -238,18 +238,16 @@ def _parser() -> _Parser:
     p.add_argument("--up-to-iso", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("search-gap",
-                       help="stream cover-to-join representations that are not tight")
-    p.add_argument("--max-e", type=int, required=True)
-    p.add_argument("--atoms", type=int, action="append", required=True)
-    p.add_argument("--up-to-iso", action="store_true")
-    p.set_defaults(func=cmd_search_gap)
-
-    p = sub.add_parser("verify", help="exhaustively verify the theorems on a universe")
-    p.add_argument("--max-e", type=int, required=True)
-    p.add_argument("--atoms", type=int, action="append", required=True)
-    p.add_argument("--up-to-iso", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    for name, func, text in (
+            ("search-gap", cmd_search_gap,
+             "stream cover-to-join representations that are not tight"),
+            ("verify", cmd_verify,
+             "exhaustively verify the theorems on a universe")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--max-e", type=int, required=True)
+        p.add_argument("--atoms", type=int, action="append", required=True)
+        p.add_argument("--up-to-iso", action="store_true")
+        p.set_defaults(func=func)
 
     return parser
 

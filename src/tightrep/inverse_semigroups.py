@@ -46,7 +46,7 @@ class FiniteInverseSemigroup(_TableStructure):
     generalized inverse (s t s = s and t s t = t), and that the declared
     zero is absorbing.  The idempotents then commute pairwise (Howie,
     Fundamentals of Semigroup Theory, 1995, §5.1), so that is not
-    checked.  The derived inverse table is stored.
+    checked.  The inverse table and the idempotent semilattice are stored.
     """
 
     _TABLES = ("mul",)
@@ -56,7 +56,10 @@ class FiniteInverseSemigroup(_TableStructure):
         (self._mul,) = self._read(elements, zero, mul)
         self._inv, self._idem = self._check_axioms()
         self._gbis = None   # cached outcome of the Boolean-idempotents check
-        self._idempotents = None    # cached idempotent semilattice
+        els, m, idem = self.elements, self._mul, self._idem
+        self._idempotents = FiniteMeetSemilattice(
+            self.idempotent_elements, zero,
+            [[els[m[a][b]] for b in idem] for a in idem])
 
     def _check_axioms(self):
         els, m = self.elements, self._mul
@@ -96,16 +99,8 @@ class FiniteInverseSemigroup(_TableStructure):
         return tuple(self.elements[a] for a in self._idem)
 
     def idempotent_semilattice(self) -> FiniteMeetSemilattice:
-        """The idempotents under multiplication, as a validated semilattice.
-
-        Built once per semigroup, so every scan of it shares one instance
-        memo.
-        """
-        if self._idempotents is None:
-            els, m, idem = self.elements, self._mul, self._idem
-            rows = [[els[m[a][b]] for b in idem] for a in idem]
-            self._idempotents = FiniteMeetSemilattice(
-                self.idempotent_elements, self.zero, rows)
+        """The idempotents under multiplication, as a validated semilattice
+        built with the semigroup, so every scan of it shares one memo."""
         return self._idempotents
 
 

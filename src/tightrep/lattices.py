@@ -58,7 +58,7 @@ def _unique_elements(elements: Sequence[str]) -> tuple[str, ...]:
 
 
 def _read_table(elements, index, rows, label):
-    """Turn an n x n table of element names into index form, checking shape."""
+    """Check the shape of an n x n table of names and index each row once."""
     n = len(elements)
     rows = list(rows)
     if len(rows) != n:
@@ -69,10 +69,11 @@ def _read_table(elements, index, rows, label):
         if len(row) != n:
             raise ValidationError(
                 f"{label} table row has {len(row)} entries, expected {n}")
-        for v in row:
-            if v not in index:
-                raise ValidationError(f"unknown element '{v}' in {label} table")
-        out.append(tuple(index[v] for v in row))
+        try:
+            out.append(tuple(map(index.__getitem__, row)))
+        except KeyError as err:
+            raise ValidationError(
+                f"unknown element '{err.args[0]}' in {label} table") from None
     return tuple(out)
 
 

@@ -37,7 +37,7 @@ from .lattices import (
     IdealView,
     ValidationError,
     _join_mask,
-    principal_ideal,
+    ideal_generated_by,
 )
 
 
@@ -279,23 +279,26 @@ def is_tight(rep: Representation, view=None, *,
              minimal_only: bool = True, reduced: bool = True) -> Verdict:
     """Check the tight equation against a unital codomain view.
 
-    The view defaults to the representation's own codomain; its derived
-    top plays the role of the unit in complements.  With `reduced`, the
-    scan shrinks provably without changing the verdict: the above-set
-    collapses to a single element (meets are preserved, so constraining
-    below a set is constraining below its meet, and the prescribed value
-    only sees the meet of the images), and the disjointness set ranges
-    over antichains only (constraints and complements below a
-    non-maximal element are absorbed by a maximal one).  With
-    reduced=False both sets range over all subsets, which is the oracle
-    form of the scan.  The witness is the first failing cover in scan
-    order.
+    The view defaults to the representation's own codomain, whose masks
+    the map holds; an explicit view must contain the range.  The view's
+    derived top plays the role of the unit in complements.  With
+    `reduced`, the scan shrinks provably without changing the verdict:
+    the above-set collapses to a single element (meets are preserved, so
+    constraining below a set is constraining below its meet, and the
+    prescribed value only sees the meet of the images), and the
+    disjointness set ranges over antichains only (constraints and
+    complements below a non-maximal element are absorbed by a maximal
+    one).  With reduced=False both sets range over all subsets, which is
+    the oracle form of the scan.  The witness is the first failing cover
+    in scan order.
     """
     if view is None:
-        view = rep.codomain
+        view, img = rep.codomain, rep._images
+    else:
+        img = _images_in(rep, view)
     E = rep.domain
     instances = _instances(E, "reduced" if reduced else "all", minimal_only)
-    w = next(_violations(E, view, _images_in(rep, view), instances), None)
+    w = next(_violations(E, view, img, instances), None)
     return Verdict(True) if w is None else Verdict(False, w)
 
 
@@ -347,9 +350,7 @@ def _instances(semilattice, kind, minimal_only=True):
     aboves, disjoints = sets
     if kind == "cover-to-join":
         aboves, disjoints = aboves[1:], disjoints[:1]
-    table = scans.get(minimal_only)
-    if table is None:
-        table = scans.setdefault(minimal_only, {})
+    table = scans.setdefault(minimal_only, {})
     for xs, below in aboves:
         for ys, apart in disjoints:
             family = below & apart
@@ -435,11 +436,8 @@ def tighten(rep: Representation) -> Tightening:
 def restrict_to_generated_ideal(rep: Representation) -> Representation:
     """The same map into the ideal generated by its range.
 
-    In a finite algebra that ideal is the principal ideal below the join
-    of the range, the OR of the image masks.  The result is always
-    non-degenerate.
+    `ideal_generated_by` builds it as the principal ideal below the join
+    of the range.  The result is always non-degenerate.
     """
-    view = rep.codomain
-    unit = view._mask_names[_join_mask(rep._images)]
-    return Representation(rep.domain, principal_ideal(view.base, unit),
-                          rep.mapping)
+    view = ideal_generated_by(rep.codomain, rep.mapping.values())
+    return Representation(rep.domain, view, rep.mapping)

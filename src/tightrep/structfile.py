@@ -246,8 +246,9 @@ def _parse_block(cursor, blocks_so_far):
 
 
 def parse(text: str) -> StructureFile:
-    """Parse and validate a structure file; errors carry line numbers."""
-    cursor = _Cursor(text)
+    """Parse and validate a structure file; errors carry line numbers.
+    One leading byte-order mark (U+FEFF) is dropped."""
+    cursor = _Cursor(text.removeprefix("\ufeff"))
     sf = StructureFile([])
     while (block := _parse_block(cursor, sf.by_name)) is not None:
         sf.blocks.append(block)

@@ -640,6 +640,44 @@ def test_a_bad_byte_after_a_form_feed_is_located_by_line_ends_only(capsys,
     assert err == "error: line 2: not valid UTF-8 (byte 0xff at offset 6)\n"
 
 
+def test_validate_ignores_one_leading_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.struct"
+    path.write_text("@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 0\n0 1\n",
+                    encoding="utf-8-sig")
+    assert run(capsys, "validate", str(path)) == (0, "ok: 1 structures\n", "")
+    # a bad byte is still located by its offset in the file, mark included
+    path.write_bytes(b"\xef\xbb\xbf@semilattice E\nelements: 0 \xe9\n")
+    assert run(capsys, "validate", str(path)) == (
+        1, "", "error: line 2: not valid UTF-8 (byte 0xe9 at offset 30)\n")
+
+
+UNIVERSE_HELP = """\
+usage: tightrep {command} [-h] --max-e MAX_E --atoms ATOMS [--up-to-iso]
+
+options:
+  -h, --help     show this help message and exit
+  --max-e MAX_E
+  --atoms ATOMS
+  --up-to-iso
+"""
+
+
+@pytest.mark.parametrize("command", ["search-gap", "verify"])
+def test_universe_commands_print_their_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == UNIVERSE_HELP.format(command=command)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert (
+        "    search-gap          stream cover-to-join representations that are not\n"
+        "                        tight\n"
+        "    verify              exhaustively verify the theorems on a universe\n"
+        "\n") in capsys.readouterr().out
+
+
 def test_invalid_spec_values(capsys):
     code, out, err = run(capsys, "search-gap", "--max-e", "0", "--atoms", "2")
     assert code == 1

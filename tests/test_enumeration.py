@@ -223,6 +223,22 @@ def test_powerset_algebra_shapes():
         powerset_algebra(-1)
 
 
+def test_powerset_algebra_matches_a_frozenset_construction():
+    def name(s):
+        return "".join(map(str, sorted(s))) or "0"
+
+    for k in range(5):
+        sets = sorted({frozenset(a for a, bit in enumerate(bits, 1) if bit)
+                       for bits in product((0, 1), repeat=k)},
+                      key=lambda s: (len(s), sorted(s)))
+        B = powerset_algebra(k)
+        assert B.elements == tuple(map(name, sets))
+        for table, op in ((B._meet, frozenset.__and__),
+                          (B._join, frozenset.__or__)):
+            assert [[B.elements[v] for v in row] for row in table] == [
+                [name(op(a, b)) for b in sets] for a in sets]
+
+
 # -- representation enumeration -----------------------------------------------------------
 
 def test_representation_counts():

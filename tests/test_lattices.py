@@ -110,6 +110,25 @@ def test_element_names_a_file_cannot_carry_are_refused(name):
         FiniteInverseSemigroup([name], name, [[name]])
 
 
+def test_table_refusals_name_the_first_fault_in_row_order():
+    els = ["0", "a"]
+    for rows, message in [
+            ([["0", "q"], ["p", "a"]], "unknown element 'q' in meet table"),
+            ([["0", "0"], ["x", "y"]], "unknown element 'x' in meet table"),
+            ([["0", "0"], ["x"]], "meet table row has 1 entries, expected 2"),
+            ([["0", "x"], ["0"]], "unknown element 'x' in meet table"),
+            ([["0", "0"], ["0", None]], "unknown element 'None' in meet table"),
+            ([["0", "0"], ["0", 1]], "unknown element '1' in meet table")]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FiniteMeetSemilattice(els, "0", rows)
+    with pytest.raises(ValidationError,
+                       match="^unknown element 'z' in join table$"):
+        FiniteGenBoolAlg(["0", "1"], "0", [["0", "0"], ["0", "1"]],
+                         [["0", "1"], ["1", "z"]])
+    with pytest.raises(ValidationError, match="^unknown element 'w' in mul table$"):
+        FiniteInverseSemigroup(["0"], "0", [["w"]])
+
+
 def test_wrong_arity_is_rejected():
     with pytest.raises(ValidationError, match="expected 2"):
         FiniteMeetSemilattice(["0", "a"], "0", [["0"], ["0", "a"]])

@@ -262,6 +262,32 @@ def small_universe(max_size, algebra):
             yield from enumerate_representations(E, algebra)
 
 
+def test_default_view_and_generated_ideal_follow_from_the_range(p1, p2):
+    # every map of a labeled semilattice with n <= 3 into P(1), P(2) and
+    # each principal-ideal view of P(2)
+    maps = 0
+    for view in [p1, p2] + [principal_ideal(p2, e) for e in p2.elements]:
+        for rep in small_universe(3, view):
+            maps += 1
+            for reduced, minimal_only in product((True, False), repeat=2):
+                assert is_tight(rep, reduced=reduced,
+                                minimal_only=minimal_only) == is_tight(
+                    rep, rep.codomain, reduced=reduced,
+                    minimal_only=minimal_only)
+            # digit names: the ideal is the subsets of the range's union
+            union = set("".join(rep.mapping.values())) - {"0"}
+            ideal = tuple(e for e in view.base.elements
+                          if set(e) - {"0"} <= union)
+            assert restrict_to_generated_ideal(rep).codomain.elements == ideal
+            for e in view.base.elements:
+                smaller = principal_ideal(view.base, e)
+                if not set(rep.mapping.values()) <= set(smaller.elements):
+                    with pytest.raises(ValidationError,
+                                       match="not contained in the view"):
+                        is_tight(rep, smaller)
+    assert maps == 105
+
+
 def test_tight_agrees_with_brute_force_oracle_everywhere(p2):
     # reduced scan + minimal covers vs the raw definition, |E| <= 3 into P(2)
     for rep in small_universe(3, p2):

@@ -235,6 +235,22 @@ def test_crlf_and_cr_line_ends_parse_and_locate(end):
         parse(bad.replace("\n", end))
 
 
+def test_one_leading_byte_order_mark_is_dropped():
+    sf = parse("\ufeff" + COUNTEREXAMPLE)
+    assert render(sf) == render(parse(COUNTEREXAMPLE))
+    bad = "\ufeff@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 0\n0\n"
+    with pytest.raises(ParseError, match="^line 6: expected 2 entries, got 1$"):
+        parse(bad)
+    # a second mark, or one later in the text, is read as it is
+    header = "@semilattice E\nelements: 0\nzero: 0\nmeet:\n0\n"
+    with pytest.raises(ParseError, match="^line 1: expected a block header, "
+                                         "got '\ufeff@semilattice E'$"):
+        parse("\ufeff\ufeff" + header)
+    with pytest.raises(ParseError, match="^line 6: expected 'key: value', "
+                                         "got '\ufeff@semilattice F'$"):
+        parse("\ufeff" + header + "\ufeff@semilattice F\n")
+
+
 @pytest.mark.parametrize("name", ["a#b", "@a", "a->b", "a:b"])
 def test_an_element_name_is_refused_or_survives_a_round_trip(name):
     # a name a file cannot carry must not be read back as another name
