@@ -52,8 +52,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _set_text(order_source, items) -> str:
-    ordered = order_source.sort(items)
-    return "{" + ", ".join(ordered) + "}"
+    return "{" + ", ".join(order_source.sort(items)) + "}"
+
+
+def _tight_witness_lines(E, w) -> list[str]:
+    return [f"witness_X: {_set_text(E, w.above)}",
+            f"witness_Y: {_set_text(E, w.disjoint)}",
+            f"witness_Z: {_set_text(E, w.cover)}"]
 
 
 def _report_lines(name: str, view: str, rep: Representation,
@@ -66,10 +71,7 @@ def _report_lines(name: str, view: str, rep: Representation,
         lines.append(f"witness_Z: {_set_text(rep.domain, w.cover)}")
     lines.append(f"tight: {report.tight.label}")
     if not report.tight.ok:
-        w = report.tight.witness
-        lines.append(f"witness_X: {_set_text(rep.domain, w.above)}")
-        lines.append(f"witness_Y: {_set_text(rep.domain, w.disjoint)}")
-        lines.append(f"witness_Z: {_set_text(rep.domain, w.cover)}")
+        lines += _tight_witness_lines(rep.domain, report.tight.witness)
     lines.append(f"nondegenerate: {report.nondegenerate.label}")
     if not report.nondegenerate.ok:
         lines.append(f"witness_a: {report.nondegenerate.witness}")
@@ -180,15 +182,12 @@ def cmd_search_gap(args) -> int:
         meet_rows = " | ".join(
             " ".join(E.elements[v] for v in row) for row in E._meet)
         atoms = len(gap.algebra).bit_length() - 1
-        w = gap.report.tight.witness
         print(f"gap: {found}")
         print(f"semilattice: size={len(E)} meet=[{meet_rows}]")
         print(f"algebra: P({atoms})")
         print("map: " + " ".join(
             f"{x}->{gap.representation.image(x)}" for x in E.elements))
-        print(f"witness_X: {_set_text(E, w.above)}")
-        print(f"witness_Y: {_set_text(E, w.disjoint)}")
-        print(f"witness_Z: {_set_text(E, w.cover)}")
+        print(*_tight_witness_lines(E, gap.report.tight.witness), sep="\n")
         print()
     print(f"found: {found}")
     return 0

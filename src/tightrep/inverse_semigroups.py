@@ -13,8 +13,9 @@ ut = t = tu, which are those whose source and range projections t⁻¹t
 and tt⁻¹ sit below u.  The constructors of the corner and of the
 corestricted map check that it is closed and holds the range.
 Validation, the idempotents and the corner run on positions in the
-multiplication table; names appear only in arguments, messages and the
-tables handed to the constructors.
+multiplication table; names appear only in arguments (read by the
+inherited `index`), messages and the tables handed to the constructors.
+A validated semigroup holds no state that is filled in later.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class FiniteInverseSemigroup(_TableStructure):
                  mul: Sequence[Sequence[str]]):
         (self._mul,) = self._read(elements, zero, mul)
         self._inv, self._idem = self._check_axioms()
-        self._gbis = None   # cached outcome of the Boolean-idempotents check
         els, m, idem = self.elements, self._mul, self._idem
         self._idempotents = FiniteMeetSemilattice(
             self.idempotent_elements, zero,
@@ -124,18 +124,12 @@ def is_generalized_boolean_inverse_semigroup(semigroup) -> GbisCheck:
 
     Joins are not assumed: each pair of idempotents must have a least
     upper bound inside the idempotent order, and the resulting table must
-    pass the full algebra validation.  The outcome is cached on the
-    semigroup.
+    pass the full algebra validation, on every call (nothing is cached).
     """
-    if semigroup._gbis is None:
-        semigroup._gbis = _gbis_check(semigroup.idempotent_semilattice())
-    return semigroup._gbis
-
-
-def _gbis_check(E) -> GbisCheck:
     # If a and b have an upper bound, the meet of all their upper bounds
     # is one too, so it is the least, and its up-set is exactly ↑a ∩ ↑b.
     # Up-sets are distinct, so each join is read off by its up-set.
+    E = semigroup.idempotent_semilattice()
     els, m, down = E.elements, E._meet, E._down
     rng = range(len(els))
     up = [sum(1 << g for g in rng if down[g] >> a & 1) for a in rng]
@@ -178,9 +172,8 @@ class ISHomomorphism(_Map):
                 f"codomain is not a generalized Boolean inverse semigroup: "
                 f"{check.reason}")
         self.codomain_algebra = check.algebra
-        self._read(domain, codomain, mapping)
+        img = self._read(domain, codomain, mapping)
         els, dm, cm = domain.elements, domain._mul, codomain._mul
-        img = [codomain._index[mapping[s]] for s in els]
         for i, row in enumerate(dm):
             for j, k in enumerate(row):
                 if img[k] != cm[img[i]][img[j]]:

@@ -1,6 +1,8 @@
 """Finite meet-semilattices, generalized Boolean algebras, and their ideals.
 
 Structures are explicit operation tables over opaque element names.
+`index` turns a caller's name into a position; collections are read in
+argument order (through `sort`), so a refusal cites the first bad name.
 Validation is eager: constructing a structure checks its axioms and
 raises ValidationError on the first violation, so every live instance is
 known-good.  Tables never change after construction and all operations
@@ -57,8 +59,15 @@ def _unique_elements(elements: Sequence[str]) -> tuple[str, ...]:
     return tuple(elements)
 
 
+def _shown(value, names) -> str:
+    """A refused value in quotes, or as e.g. 0 (int) if a non-string reads as a name."""
+    if not isinstance(value, str) and str(value) in names:
+        return f"{value!r} ({type(value).__name__})"
+    return f"'{value}'"
+
+
 def _read_table(elements, index, rows, label):
-    """Check the shape of an n x n table of names and index each row once."""
+    """Check an n x n table of names and index each row once, naming a bad entry."""
     n = len(elements)
     rows = list(rows)
     if len(rows) != n:
@@ -71,9 +80,10 @@ def _read_table(elements, index, rows, label):
                 f"{label} table row has {len(row)} entries, expected {n}")
         try:
             out.append(tuple(map(index.__getitem__, row)))
-        except KeyError as err:
+        except (KeyError, TypeError):
+            bad = next(v for v in row if v not in elements)
             raise ValidationError(
-                f"unknown element '{err.args[0]}' in {label} table") from None
+                f"unknown element {_shown(bad, index)} in {label} table") from None
     return tuple(out)
 
 
@@ -116,8 +126,9 @@ class _TableStructure:
         """Set elements, index and zero; return the `_TABLES` in index form."""
         self.elements = _unique_elements(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        if zero not in self._index:
-            raise ValidationError(f"zero '{zero}' is not a listed element")
+        if zero not in self.elements:
+            raise ValidationError(
+                f"zero {_shown(zero, self._index)} is not a listed element")
         self.zero = zero
         return [_read_table(self.elements, self._index, rows, label)
                 for label, rows in zip(self._TABLES, tables)]
@@ -132,10 +143,13 @@ class _TableStructure:
         return a in self._index
 
     def index(self, a: str) -> int:
+        """The position of a listed element; any other value, unhashable
+        ones too, is refused as an unknown element."""
         try:
             return self._index[a]
-        except KeyError:
-            raise ValidationError(f"unknown element '{a}'") from None
+        except (KeyError, TypeError):
+            raise ValidationError(
+                f"unknown element {_shown(a, self._index)}") from None
 
     @property
     def base(self):
@@ -143,11 +157,9 @@ class _TableStructure:
         return self
 
     def sort(self, xs: Iterable[str]) -> tuple[str, ...]:
-        """The given elements in declared order (deduplicated)."""
-        picked = set(xs)
-        for x in picked:
-            self.index(x)
-        return tuple(e for e in self.elements if e in picked)
+        """The given elements, each read by `index` in the order given, in
+        declared order (deduplicated)."""
+        return tuple(self.elements[p] for p in sorted({self.index(x) for x in xs}))
 
 
 class FiniteMeetSemilattice(_TableStructure):
@@ -202,14 +214,15 @@ class FiniteMeetSemilattice(_TableStructure):
         return self.meet(a, b) == a
 
     def meet_all(self, xs: Iterable[str]) -> str:
-        """Meet of a nonempty collection (a semilattice has no empty meet)."""
-        xs = list(xs)
-        if not xs:
+        """Meet of a nonempty collection (a semilattice has no empty meet),
+        each name read by `index`, a lone one too."""
+        ps = [self.index(x) for x in xs]
+        if not ps:
             raise ValidationError("empty meet in a semilattice")
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = self.meet(acc, x)
-        return acc
+        acc = ps[0]
+        for p in ps[1:]:
+            acc = self._meet[acc][p]
+        return self.elements[acc]
 
 
 class FiniteGenBoolAlg(_TableStructure):
@@ -391,22 +404,16 @@ class IdealCheck:
 def is_ideal(algebra, members: Iterable[str]) -> IdealCheck:
     """Test whether `members` is an ideal: nonempty, downward closed, join closed."""
     base = algebra.base
-    members = set(members)
-    for x in members:
-        base.index(x)
-    if not members:
+    held = {e: base._masks[base._index[e]] for e in base.sort(members)}
+    if not held:
         return IdealCheck(False, "empty")
-    masked = list(zip(base.elements, base._masks))
-    for b, mb in masked:
-        if b not in members:
-            continue
-        for a, ma in masked:
-            if not ma & ~mb and a not in members:
+    for b, mb in held.items():
+        for a, ma in zip(base.elements, base._masks):
+            if not ma & ~mb and a not in held:
                 return IdealCheck(False, "downward", (a, b))
-    ordered = [(e, m) for e, m in masked if e in members]
-    for a, ma in ordered:
-        for b, mb in ordered:
-            if base._mask_names[ma | mb] not in members:
+    for a, ma in held.items():
+        for b, mb in held.items():
+            if base._mask_names[ma | mb] not in held:
                 return IdealCheck(False, "join", (a, b))
     return IdealCheck(True)
 
@@ -425,8 +432,8 @@ class IdealView(FiniteGenBoolAlg):
 
     def __init__(self, parent, members: Iterable[str]):
         base = parent.base
-        members = frozenset(members)
-        check = is_ideal(base, members)
+        members = tuple(members)
+        check = is_ideal(base, members)     # reads the names through `sort`
         if not check.ok:
             if check.reason == "empty":
                 raise ValidationError("an ideal must be nonempty")
@@ -437,7 +444,7 @@ class IdealView(FiniteGenBoolAlg):
             raise ValidationError(
                 f"not closed under join: ({a}, {b}) joins outside the set")
         self.parent = base
-        keep = [i for i, e in enumerate(base.elements) if e in members]
+        keep = sorted({base._index[e] for e in members})
         self.elements = tuple(base.elements[p] for p in keep)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.zero = base.zero
@@ -453,7 +460,7 @@ class IdealView(FiniteGenBoolAlg):
     def index(self, a: str) -> int:
         try:
             return self._index[a]
-        except KeyError:
+        except (KeyError, TypeError):
             self.parent.index(a)    # unknown elements get the sharper error
             raise ValidationError(
                 f"element '{a}' is outside this ideal view") from None
@@ -465,12 +472,10 @@ def ideal_generated_by(algebra, generators: Iterable[str]) -> IdealView:
     In a finite algebra this is the principal ideal of the join of the
     generating set: everything below some finite join of generators.
     """
-    base = algebra.base
     gens = list(generators)
     if not gens:
         raise ValidationError("generating set is empty")
-    bound = base.join_all(base.sort(gens))
-    return principal_ideal(base, bound)
+    return principal_ideal(algebra, algebra.base.join_all(gens))
 
 
 def principal_ideal(algebra, e: str) -> IdealView:

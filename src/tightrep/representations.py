@@ -111,6 +111,7 @@ class _Map:
     or the structure itself) and that zero maps to zero."""
 
     def _read(self, domain, codomain, mapping):
+        """Check the map; return the images' codomain positions, each read once."""
         self.domain = domain
         self.codomain = codomain
         for x in mapping:
@@ -118,14 +119,18 @@ class _Map:
         missing = [x for x in domain.elements if x not in mapping]
         if missing:
             raise ValidationError(f"map is not total: no image for '{missing[0]}'")
+        img = []
         for x in domain.elements:
-            if mapping[x] not in codomain:
+            try:
+                img.append(codomain._index[mapping[x]])
+            except (KeyError, TypeError):
                 codomain.base.index(mapping[x])
                 raise ValidationError(
-                    f"image of '{x}' lies outside the codomain view")
+                    f"image of '{x}' lies outside the codomain view") from None
         if mapping[domain.zero] != codomain.zero:
             raise ValidationError("zero not preserved")
         self.mapping = dict(mapping)
+        return img
 
     def __repr__(self):
         pairs = ", ".join(f"{x}->{self.mapping[x]}" for x in self.domain.elements)
@@ -134,8 +139,9 @@ class _Map:
     def image(self, x: str) -> str:
         try:
             return self.mapping[x]
-        except KeyError:
-            raise ValidationError(f"unknown element '{x}'") from None
+        except (KeyError, TypeError):
+            self.domain.index(x)    # the map is total: x is not listed
+            raise
 
 
 class Representation(_Map):
@@ -149,10 +155,9 @@ class Representation(_Map):
 
     def __init__(self, domain: FiniteMeetSemilattice, codomain,
                  mapping: Mapping[str, str]):
-        self._read(domain, codomain, mapping)
-        masks, index, els = codomain._masks, codomain._index, domain.elements
-        img = tuple(masks[index[mapping[x]]] for x in els)
-        meet, z = domain._meet, domain._index[domain.zero]
+        img = tuple(map(codomain._masks.__getitem__,
+                        self._read(domain, codomain, mapping)))
+        meet, els, z = domain._meet, domain.elements, domain._index[domain.zero]
         for i, j in combinations([p for p in range(len(els)) if p != z], 2):
             if img[meet[i][j]] != img[i] & img[j]:
                 raise ValidationError(
@@ -201,17 +206,14 @@ def is_cover(semilattice: FiniteMeetSemilattice,
     contained in `family`.
     """
     E = semilattice
-    family_set = set(family)
-    for x in family_set:
-        E.index(x)
-    cover = E.sort(cover)
+    family = E.sort(family)
     met = 0     # the elements some member of the cover meets nontrivially
-    for z in cover:
-        if z not in family_set:
+    for z in E.sort(cover):
+        if z not in family:
             raise ValidationError(f"cover element '{z}' is not in the family")
         met |= ~E._zero_meet[E._index[z]]
-    for i, x in enumerate(E.elements):
-        if x in family_set and x != E.zero and not met >> i & 1:
+    for x in family:
+        if x != E.zero and not met >> E._index[x] & 1:
             return Verdict(False, x)
     return Verdict(True)
 

@@ -274,21 +274,40 @@ b -> 2
     assert not out_path.exists()
 
 
+# the diamond onto the top of P(2), with both atoms sent to zero: not
+# cover-to-join, so not tight either
+NOT_COVER_TO_JOIN = (
+    "@semilattice D\nelements: 0 a b 1\nzero: 0\nmeet:\n"
+    "0 0 0 0\n0 a 0 a\n0 0 b b\n0 a b 1\n\n"
+    "@algebra B\nelements: 0 1 2 12\nzero: 0\nmeet:\n"
+    "0 0 0 0\n0 1 0 1\n0 0 2 2\n0 1 2 12\njoin:\n"
+    "0 1 2 12\n1 1 12 12\n2 12 2 12\n12 12 12 12\n\n"
+    "@representation rho\ndomain: D\ncodomain: B\nmap:\n"
+    "0 -> 0\na -> 0\nb -> 0\n1 -> 12\n")
+
+
 def test_check_tightened_view_needs_cover_to_join(capsys, tmp_path):
     # view construction fails on a representation without the hypothesis
     diamond_file = tmp_path / "d.struct"
-    diamond_file.write_text(
-        "@semilattice D\nelements: 0 a b 1\nzero: 0\nmeet:\n"
-        "0 0 0 0\n0 a 0 a\n0 0 b b\n0 a b 1\n\n"
-        "@algebra B\nelements: 0 1 2 12\nzero: 0\nmeet:\n"
-        "0 0 0 0\n0 1 0 1\n0 0 2 2\n0 1 2 12\njoin:\n"
-        "0 1 2 12\n1 1 12 12\n2 12 2 12\n12 12 12 12\n\n"
-        "@representation rho\ndomain: D\ncodomain: B\nmap:\n"
-        "0 -> 0\na -> 0\nb -> 0\n1 -> 12\n", encoding="utf-8")
+    diamond_file.write_text(NOT_COVER_TO_JOIN, encoding="utf-8")
     code, out, err = run(capsys, "check", str(diamond_file),
                          "--rep", "rho", "--view", "tightened")
     assert code == 1
     assert "not cover-to-join" in err
+
+
+@pytest.mark.parametrize("view", ["full", "generated-ideal"])
+def test_check_prints_both_witnesses_of_a_map_that_is_not_cover_to_join(
+        capsys, tmp_path, view):
+    diamond_file = tmp_path / "d.struct"
+    diamond_file.write_text(NOT_COVER_TO_JOIN, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(diamond_file),
+                         "--rep", "rho", "--view", view)
+    assert (code, err) == (0, "")
+    assert out == (f"rep: rho\nview: {view}\ncover_to_join: fail\n"
+                   "witness_x: 1\nwitness_Z: {a, b}\ntight: fail\n"
+                   "witness_X: {}\nwitness_Y: {}\nwitness_Z: {a, b}\n"
+                   "nondegenerate: pass\n")
 
 
 @pytest.fixture

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tightrep
 from tightrep import (
     FiniteGenBoolAlg,
     FiniteInverseSemigroup,
@@ -38,6 +43,7 @@ from conftest import (
 
 def test_chain2_is_valid(chain2):
     assert chain2.elements == ("0", "1")
+    assert repr(chain2) == "FiniteMeetSemilattice(['0', '1'], zero='0')"
     assert chain2.meet("1", "1") == "1"
     assert chain2.leq("0", "1")
 
@@ -100,6 +106,15 @@ def test_duplicate_and_unknown_elements_are_rejected():
         FiniteMeetSemilattice(["0", "a"], "0", [["0", "0"], ["0", "q"]])
     with pytest.raises(ValidationError, match="zero 'z'"):
         FiniteMeetSemilattice(["0", "a"], "z", [["0", "0"], ["0", "a"]])
+    with pytest.raises(ValidationError, match="^element list is empty$"):
+        FiniteMeetSemilattice([], "0", [])
+
+
+def test_a_refused_zero_cannot_pass_for_a_listed_name():
+    for zero, message in [(0, "zero 0 (int) is not a listed element"),
+                          (["0"], "zero '['0']' is not a listed element")]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FiniteMeetSemilattice(["0", "a"], zero, [["0", "0"], ["0", "a"]])
 
 
 @pytest.mark.parametrize("name", ["a b", "", "a\tb", " a", "a#b", 1, None])
@@ -118,7 +133,9 @@ def test_table_refusals_name_the_first_fault_in_row_order():
             ([["0", "0"], ["x"]], "meet table row has 1 entries, expected 2"),
             ([["0", "x"], ["0"]], "unknown element 'x' in meet table"),
             ([["0", "0"], ["0", None]], "unknown element 'None' in meet table"),
-            ([["0", "0"], ["0", 1]], "unknown element '1' in meet table")]:
+            ([["0", "0"], ["0", 1]], "unknown element '1' in meet table"),
+            ([["0", "0"], ["0", ["a"]]], "unknown element '['a']' in meet table"),
+            ([["0", "0"], ["0", 0]], "unknown element 0 (int) in meet table")]:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             FiniteMeetSemilattice(els, "0", rows)
     with pytest.raises(ValidationError,
@@ -327,6 +344,46 @@ def test_unknown_element_errors(p2):
         p2.meet("1", "nope")
     with pytest.raises(ValidationError, match="unknown element"):
         p2.leq("nope", "1")
+    with pytest.raises(ValidationError, match=r"^unknown element '\['a'\]'$"):
+        p2.meet(["a"], "1")
+
+
+def test_semilattice_meet_all_reads_every_name(chain2):
+    assert chain2.meet_all(["1"]) == "1"
+    assert chain2.meet_all(iter(["1", "0", "1"])) == "0"
+    with pytest.raises(ValidationError, match="^unknown element 'nope'$"):
+        chain2.meet_all(["nope"])
+    with pytest.raises(ValidationError, match="^empty meet in a semilattice$"):
+        chain2.meet_all([])
+
+
+# Each reader of a collection of names, called with three unknown ones.
+# The refusal must cite the first, whatever order `set` gives them.
+ARGUMENT_ORDER_SCRIPT = """
+from tightrep import (IdealView, ValidationError, covers_of, ideal_generated_by,
+                      is_cover, is_ideal, powerset_algebra)
+B = powerset_algebra(2)
+E = B.as_meet_semilattice()
+names = ["x", "y", "z"]
+for call in (B.sort, lambda xs: is_ideal(B, xs), lambda xs: IdealView(B, xs),
+             lambda xs: ideal_generated_by(B, xs), lambda xs: is_cover(E, [], xs),
+             lambda xs: list(covers_of(E, xs))):
+    try:
+        call(names)
+    except ValidationError as err:
+        print(err)
+"""
+
+
+def test_a_refused_collection_cites_its_first_unknown_name_under_every_hash_seed():
+    src = Path(tightrep.__file__).resolve().parent.parent
+    for seed in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-c", ARGUMENT_ORDER_SCRIPT],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "unknown element 'x'\n" * 6, seed
 
 
 # -- ideals --------------------------------------------------------------------
@@ -404,6 +461,7 @@ def test_is_ideal_examples(p2):
     assert bad_join.witness == ("1", "2")
     missing_zero = is_ideal(p2, ["1"])
     assert not missing_zero.ok
+    assert not bool(missing_zero)
     assert missing_zero.reason == "downward"
     assert missing_zero.witness == ("0", "1")
     assert not is_ideal(p2, []).ok

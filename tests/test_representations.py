@@ -55,6 +55,8 @@ def counterexample_rep(chain2, p2):
 def test_counterexample_map_is_a_valid_representation(chain2, p2):
     rep = counterexample_rep(chain2, p2)
     assert rep.image("1") == "1"
+    with pytest.raises(ValidationError, match="^unknown element 'q'$"):
+        rep.image("q")
     assert rep.range_elements() == ("0", "1")
 
 
@@ -117,6 +119,8 @@ def test_zero_and_totality_violations_are_rejected(chain2, p2):
         Representation(chain2, p2, {"0": "0"})
     with pytest.raises(ValidationError, match="unknown element"):
         Representation(chain2, p2, {"0": "0", "1": "1", "x": "0"})
+    with pytest.raises(ValidationError, match=r"^unknown element '\['a'\]'$"):
+        Representation(chain2, p2, {"0": "0", "1": ["a"]})
 
 
 def test_range_must_lie_in_the_codomain_view(chain2, p2):

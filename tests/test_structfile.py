@@ -131,6 +131,8 @@ def test_header_and_directive_errors():
         parse("@semilattice E\nelements: 0\nmeet:\n0\n")
     with pytest.raises(ParseError, match="requires elements first"):
         parse("@semilattice E\nmeet:\n0\n")
+    with pytest.raises(ParseError, match="^line 2: elements list is empty$"):
+        parse("@semilattice E\nelements:\n")
     with pytest.raises(ParseError, match="file ended early"):
         parse("@semilattice E\nelements: 0 1\nzero: 0\nmeet:\n0 0\n")
 
@@ -204,6 +206,11 @@ def test_map_entry_errors():
         parse("@semilattice E\nelements: 0\nzero: 0\nmeet:\n0\n\n"
               "@algebra B\nelements: 0\nzero: 0\nmeet:\n0\njoin:\n0\n\n"
               "@representation pi\ndomain: E\ncodomain: B\nmap:\n0 -> 0\n0 -> 0\n")
+    with pytest.raises(ParseError,
+                       match="^line 18: 'map:' starts its entries on its own line$"):
+        parse("@semilattice E\nelements: 0\nzero: 0\nmeet:\n0\n\n"
+              "@algebra B\nelements: 0\nzero: 0\nmeet:\n0\njoin:\n0\n\n"
+              "@representation pi\ndomain: E\ncodomain: B\nmap: 0 -> 0\n")
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -278,6 +285,8 @@ def test_unknown_structure_lookup():
     sf = parse(COUNTEREXAMPLE)
     with pytest.raises(ValidationError, match="unknown structure 'nope'"):
         sf["nope"]
+    assert "E" in sf
+    assert "nope" not in sf
 
 
 # -- properties ------------------------------------------------------------
